@@ -298,7 +298,7 @@ std::pair<std::uint64_t, PathResult> run_pipeline_once(const std::vector<Frame>&
   for (std::uint32_t id = 0; id < n_devices; ++id) {
     core::DeviceState& dev = table.state(id);
     dev.downlink_seq = 1;  // same history as the legacy maps above
-    if (id % kCommandedEvery == 0) dev.queue();
+    if (id % kCommandedEvery == 0) (void)dev.queue();  // commanded once, drained
   }
   std::uint64_t digest = 0xcbf29ce484222325ull;
   PathResult r;

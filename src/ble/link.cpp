@@ -58,6 +58,7 @@ BleSlave::BleSlave(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position
       config_(config),
       timeline_(config.power.supply) {
   node_id_ = medium_.attach(this, position);
+  medium_.set_listening(node_id_, false);  // asleep until the first RxWait
   timeline_.set_current(scheduler_.now(), config_.power.sleep, "Sleep");
 }
 
@@ -68,6 +69,11 @@ void BleSlave::start() {
 void BleSlave::queue_payload(Bytes payload) {
   if (payload.size() > 27) throw std::invalid_argument("BLE payload exceeds 27 bytes");
   pending_.push_back(std::move(payload));
+}
+
+void BleSlave::set_state(State state) {
+  state_ = state;
+  medium_.set_listening(node_id_, state_ == State::RxWait);
 }
 
 bool BleSlave::rx_enabled() const {
@@ -97,13 +103,13 @@ void BleSlave::schedule_next_event(TimePoint anchor) {
 void BleSlave::begin_event(TimePoint anchor) {
   ++events_;
   wake_time_ = scheduler_.now();
-  state_ = State::WakeUp;
+  set_state(State::WakeUp);
   timeline_.set_current(wake_time_, config_.power.wake_up, "Wake-up");
   scheduler_.schedule_in(config_.power.wake_up_time, [this, anchor] {
-    state_ = State::PreProcessing;
+    set_state(State::PreProcessing);
     timeline_.set_current(scheduler_.now(), config_.power.pre_processing, "Pre-processing");
     scheduler_.schedule_in(config_.power.pre_processing_time, [this, anchor] {
-      state_ = State::RxWait;
+      set_state(State::RxWait);
       timeline_.set_current(scheduler_.now(), config_.power.radio_rx, "Rx");
       // Give up if the master's poll never arrives.
       const TimePoint deadline = anchor + config_.poll_timeout;
@@ -127,7 +133,7 @@ void BleSlave::on_frame(const sim::RxFrame& frame) {
     scheduler_.cancel(*poll_timer_);
     poll_timer_.reset();
   }
-  state_ = State::Ifs;
+  set_state(State::Ifs);
   timeline_.set_current(scheduler_.now(), config_.power.ifs_idle, "T_IFS");
   scheduler_.schedule_in(phy::BlePhy::kTifs, [this] { respond_with_data(); });
 }
@@ -150,7 +156,7 @@ void BleSlave::respond_with_data() {
   const Bytes packet =
       assemble_air_packet(config_.access_address, encoded, config_.data_channel,
                           config_.crc_init);
-  state_ = State::Tx;
+  set_state(State::Tx);
   timeline_.set_current(scheduler_.now(), config_.power.radio_tx, "Tx");
 
   sim::TxRequest req;
@@ -158,7 +164,7 @@ void BleSlave::respond_with_data() {
   req.airtime = phy::BlePhy::pdu_airtime(encoded.size() - 2);
   req.tx_power_dbm = config_.tx_power_dbm;
   req.on_complete = [this, has_data] {
-    state_ = State::PostProcessing;
+    set_state(State::PostProcessing);
     timeline_.set_current(scheduler_.now(), config_.power.post_processing,
                           "Post-processing");
     scheduler_.schedule_in(config_.power.post_processing_time,
@@ -168,7 +174,7 @@ void BleSlave::respond_with_data() {
 }
 
 void BleSlave::end_event(bool data_sent) {
-  state_ = State::Sleep;
+  set_state(State::Sleep);
   const TimePoint sleep_at = scheduler_.now();
   timeline_.set_current(sleep_at, config_.power.sleep, "Sleep");
 

@@ -111,6 +111,9 @@ class BleSlave : public sim::MediumClient {
  private:
   enum class State { Sleep, WakeUp, PreProcessing, RxWait, Ifs, Tx, PostProcessing };
 
+  /// The only writer of state_: keeps the medium's listening hint set
+  /// exactly while the radio waits for the master's poll (RxWait).
+  void set_state(State state);
   void schedule_next_event(TimePoint anchor);
   void begin_event(TimePoint anchor);
   void respond_with_data();

@@ -105,10 +105,9 @@ Bytes aes_key_wrap(const Aes128& kek, BytesView plaintext) {
       std::memcpy(&r[(i - 1) * 8], b.data() + 8, 8);
     }
   }
-  Bytes out;
-  out.reserve(8 + r.size());
-  out.insert(out.end(), a, a + 8);
-  out.insert(out.end(), r.begin(), r.end());
+  Bytes out(8 + r.size());
+  std::memcpy(out.data(), a, 8);
+  std::memcpy(out.data() + 8, r.data(), r.size());
   return out;
 }
 

@@ -30,31 +30,34 @@ std::uint64_t Medium::cell_key(std::int32_t cx, std::int32_t cy) {
          static_cast<std::uint32_t>(cy);
 }
 
-void Medium::grid_insert(NodeId id, const Position& pos) {
-  cells_[cell_key(cell_coord(pos.x_m), cell_coord(pos.y_m))].push_back(id);
-}
-
-void Medium::grid_remove(NodeId id, const Position& pos) {
-  auto it = cells_.find(cell_key(cell_coord(pos.x_m), cell_coord(pos.y_m)));
-  if (it == cells_.end()) return;
-  auto& bucket = it->second;
-  auto pos_it = std::find(bucket.begin(), bucket.end(), id);
-  if (pos_it != bucket.end()) {
-    *pos_it = bucket.back();
-    bucket.pop_back();
+void Medium::listener_insert(NodeId id, const Position& pos) {
+  auto& bucket = listener_cells_[cell_key_of(pos)];
+  // attach() hands out ascending ids, so the common case is an append.
+  if (bucket.empty() || bucket.back() < id) {
+    bucket.push_back(id);
+  } else {
+    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), id), id);
   }
 }
 
-void Medium::collect_in_range(const Position& center, double range_m,
-                              std::vector<NodeId>& out) const {
+void Medium::listener_remove(NodeId id, const Position& pos) {
+  auto it = listener_cells_.find(cell_key_of(pos));
+  if (it == listener_cells_.end()) return;
+  auto& bucket = it->second;
+  auto pos_it = std::lower_bound(bucket.begin(), bucket.end(), id);
+  if (pos_it != bucket.end() && *pos_it == id) bucket.erase(pos_it);
+}
+
+void Medium::collect_listeners_in_range(const Position& center, double range_m,
+                                        std::vector<NodeId>& out) const {
   const std::int32_t cx0 = cell_coord(center.x_m - range_m);
   const std::int32_t cx1 = cell_coord(center.x_m + range_m);
   const std::int32_t cy0 = cell_coord(center.y_m - range_m);
   const std::int32_t cy1 = cell_coord(center.y_m + range_m);
   for (std::int32_t cx = cx0; cx <= cx1; ++cx) {
     for (std::int32_t cy = cy0; cy <= cy1; ++cy) {
-      auto it = cells_.find(cell_key(cx, cy));
-      if (it == cells_.end()) continue;
+      auto it = listener_cells_.find(cell_key(cx, cy));
+      if (it == listener_cells_.end()) continue;
       out.insert(out.end(), it->second.begin(), it->second.end());
     }
   }
@@ -66,19 +69,70 @@ NodeId Medium::attach(MediumClient* client, Position position) {
   pos_x_.push_back(position.x_m);
   pos_y_.push_back(position.y_m);
   position_epochs_.push_back(0);
-  node_flags_.push_back(0);
+  node_flags_.push_back(kFlagListening);
   const auto id = static_cast<NodeId>(clients_.size() - 1);
-  grid_insert(id, position);
+  listener_insert(id, position);
   return id;
 }
 
 void Medium::set_position(NodeId id, Position position) {
   check_id(id);
-  grid_remove(id, node_position(id));
+  const bool hinted = (node_flags_[id] & kFlagListening) != 0;
+  if (hinted) listener_remove(id, node_position(id));
   pos_x_[id] = position.x_m;
   pos_y_[id] = position.y_m;
   ++position_epochs_[id];  // cached path losses involving this node go stale
-  grid_insert(id, position);
+  if (hinted) listener_insert(id, position);
+}
+
+void Medium::set_listening(NodeId id, bool listening) {
+  check_id(id);
+  if (((node_flags_[id] & kFlagListening) != 0) == listening) return;
+  if (!listening) {
+    node_flags_[id] &= static_cast<std::uint8_t>(~kFlagListening);
+    listener_remove(id, node_position(id));
+    return;
+  }
+  node_flags_[id] |= kFlagListening;
+  listener_insert(id, node_position(id));
+  // A hint raised by another receiver's callback during delivery (a
+  // gateway's monitor handing a reading to its station wakes the
+  // station's radio): the dense scan would still poll this node if it
+  // comes later in NodeId order, so admit it into the remaining
+  // candidates. Out-of-range admissions fail the power check exactly as
+  // they do in the dense scan, which already lists every node.
+  if (delivering_) {
+    auto& cand = delivery_scratch_;
+    if (id <= cand[delivery_cursor_]) return;
+    const auto rest = cand.begin() + static_cast<std::ptrdiff_t>(delivery_cursor_) + 1;
+    const auto at = std::lower_bound(rest, cand.end(), id);
+    if (at == cand.end() || *at != id) cand.insert(at, id);
+  }
+}
+
+bool Medium::listening(NodeId id) const {
+  check_id(id);
+  return (node_flags_[id] & kFlagListening) != 0;
+}
+
+bool Medium::listener_index_consistent() const {
+  std::size_t listed = 0;
+  for (const auto& [key, bucket] : listener_cells_) {
+    if (!std::is_sorted(bucket.begin(), bucket.end()) ||
+        std::adjacent_find(bucket.begin(), bucket.end()) != bucket.end()) {
+      return false;
+    }
+    for (const NodeId id : bucket) {
+      if (id >= clients_.size() || !(node_flags_[id] & kFlagListening) ||
+          cell_key_of(node_position(id)) != key) {
+        return false;
+      }
+    }
+    listed += bucket.size();
+  }
+  const auto hinted = std::count_if(node_flags_.begin(), node_flags_.end(),
+                                    [](std::uint8_t f) { return f & kFlagListening; });
+  return listed == static_cast<std::size_t>(hinted);
 }
 
 Position Medium::position(NodeId id) const {
@@ -326,14 +380,16 @@ void Medium::finish_transmission(std::uint64_t tx_id) {
 }
 
 void Medium::deliver(const ActiveTx& tx) {
-  // Candidate receivers: with the grid, only nodes inside the audible
-  // radius; sorted so RNG draws happen in the same ascending-NodeId
-  // order as the dense scan (bit-for-bit equivalence between modes).
+  // Candidate receivers: with the grid, only hinted nodes inside the
+  // audible radius; sorted so RNG draws happen in the same
+  // ascending-NodeId order as the dense scan (bit-for-bit equivalence
+  // between modes). Un-hinted nodes promise rx_enabled() == false, so
+  // skipping them skips nothing the dense scan would deliver to.
   std::vector<NodeId>& candidates = delivery_scratch_;
   candidates.clear();
   const Position origin = tx_origin(tx);
   if (grid_enabled_) {
-    collect_in_range(origin, tx.audible_range_m, candidates);
+    collect_listeners_in_range(origin, tx.audible_range_m, candidates);
     std::sort(candidates.begin(), candidates.end());
   } else {
     candidates.resize(clients_.size());
@@ -348,10 +404,27 @@ void Medium::deliver(const ActiveTx& tx) {
 
   const bool any_node_floor = !node_loss_floors_.empty();
 
-  for (const NodeId receiver : candidates) {
+  // Indexed, not range-for: set_listening() may insert into the
+  // candidates ahead of the cursor while a callback below runs. The
+  // guard ends the admission window even if a callback throws.
+  delivering_ = true;
+  struct EndDelivery {
+    bool& flag;
+    ~EndDelivery() { flag = false; }
+  } end_delivery{delivering_};
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    delivery_cursor_ = k;
+    const NodeId receiver = candidates[k];
     if (!tx.remote && receiver == tx.transmitter) continue;
-    if (node_flags_[receiver] & kFlagRxBlocked) continue;  // injected deafness
+    const std::uint8_t flags = node_flags_[receiver];
+    if (flags & kFlagRxBlocked) continue;  // injected deafness
     if (!clients_[receiver]->rx_enabled()) continue;
+    if (!(flags & kFlagListening)) {
+      // Only the dense scan reaches un-hinted nodes: it is the oracle
+      // that the hint never hides a listening radio.
+      throw std::logic_error(
+          "Medium: node cleared its listening hint but reports rx_enabled()");
+    }
 
     const double rx_power = rx_power_at(tx, receiver);
     if (rx_power < kCarrierSenseDbm) continue;  // below detection: silence

@@ -8,11 +8,13 @@
 // The WiFi network and the BLE pair run on separate Medium instances —
 // separate bands in the real world.
 //
-// Fleet-scale design: nodes are indexed by a sparse uniform grid over
-// their positions, so delivering a transmission (and pre-filtering
-// carrier sense) only visits cells within the maximum audible radius
-// for the TX power — derived by inverting Channel::rx_power_dbm down
-// to the carrier-sense floor — instead of every attached node. Path
+// Fleet-scale design: listening nodes are indexed by a sparse uniform
+// grid over their positions, so delivering a transmission only visits
+// the listeners in cells within the maximum audible radius for the TX
+// power — derived by inverting Channel::rx_power_dbm down to the
+// carrier-sense floor — instead of every attached node. Duty-cycled
+// radios leave the index while they sleep (set_listening), so a sleepy
+// fleet pays per transmission for its listeners, not its sleepers. Path
 // loss between static nodes is cached per pair in a flat open-addressed
 // table (no per-entry allocation, linear probing over one contiguous
 // array), and the frame payload is a refcounted FrameBuffer shared by
@@ -104,6 +106,11 @@ class MediumClient {
   /// transmission; a radio must be listening for the whole frame in a
   /// real receiver, but end-sampling is the standard simulator shortcut
   /// and conservative for our energy questions.
+  ///
+  /// With the spatial grid on, only nodes holding the listening hint
+  /// (Medium::set_listening; every node holds it from attach until it
+  /// clears it) are polled: a node that cleared the hint is never asked
+  /// and must return false here until it sets the hint again.
   [[nodiscard]] virtual bool rx_enabled() const = 0;
 };
 
@@ -143,6 +150,18 @@ class Medium {
 
   void set_position(NodeId id, Position position);
   [[nodiscard]] Position position(NodeId id) const;
+
+  /// Listening hint for delivery. `false` promises that the node's
+  /// rx_enabled() stays false until the next `set_listening(id, true)`,
+  /// so grid-mode delivery stops polling it; `true` (the state every
+  /// node attaches in) makes it a candidate again. rx_enabled() remains
+  /// the final per-receiver check, so the hint only decides who is
+  /// asked, never who hears. Duty-cycled clients clear it for as long
+  /// as their radio sleeps. A hint raised while a transmission is being
+  /// delivered takes effect for that transmission's remaining
+  /// receivers, exactly as the dense scan would poll them.
+  void set_listening(NodeId id, bool listening);
+  [[nodiscard]] bool listening(NodeId id) const;
 
   /// Begin a transmission. Throws if this node is already transmitting.
   /// The request's payload is moved into a shared FrameBuffer; receivers
@@ -246,9 +265,17 @@ class Medium {
 
   /// Toggle the spatial index. Disabled = the exhaustive per-node scan
   /// the seed implementation used; kept as the equivalence oracle for
-  /// determinism tests. Results are identical either way.
+  /// determinism tests. Results are identical either way. The dense
+  /// scan also polls nodes without the listening hint and throws
+  /// std::logic_error if one of them reports rx_enabled() — it is the
+  /// oracle for the hint contract as well.
   void set_spatial_grid_enabled(bool enabled) { grid_enabled_ = enabled; }
   [[nodiscard]] bool spatial_grid_enabled() const { return grid_enabled_; }
+
+  /// Self-check of the listener index: every grid cell lists exactly
+  /// the hinted nodes positioned in it, in strictly ascending NodeId
+  /// order. For tests; O(nodes + listeners).
+  [[nodiscard]] bool listener_index_consistent() const;
 
   /// Carrier-sense / preamble-detection floor.
   static constexpr double kCarrierSenseDbm = -82.0;
@@ -327,6 +354,7 @@ class Medium {
   // --- SoA node state --------------------------------------------------------
   static constexpr std::uint8_t kFlagTransmitting = 1u << 0;
   static constexpr std::uint8_t kFlagRxBlocked = 1u << 1;
+  static constexpr std::uint8_t kFlagListening = 1u << 2;
 
   void check_id(NodeId id) const {
     if (id >= clients_.size()) throw std::out_of_range("Medium: bad NodeId");
@@ -338,15 +366,20 @@ class Medium {
     return tx.remote ? tx.origin : node_position(tx.transmitter);
   }
 
-  // --- spatial grid ----------------------------------------------------------
+  // --- spatial grid (listener index) ------------------------------------------
   [[nodiscard]] std::int32_t cell_coord(double meters) const;
   static std::uint64_t cell_key(std::int32_t cx, std::int32_t cy);
-  void grid_insert(NodeId id, const Position& pos);
-  void grid_remove(NodeId id, const Position& pos);
-  /// All nodes within `range_m` of `center` (plus grid-granularity
-  /// slack), appended to `out` in arbitrary order.
-  void collect_in_range(const Position& center, double range_m,
-                        std::vector<NodeId>& out) const;
+  [[nodiscard]] std::uint64_t cell_key_of(const Position& pos) const {
+    return cell_key(cell_coord(pos.x_m), cell_coord(pos.y_m));
+  }
+  /// Add/remove a hinted node to/from its cell's ascending bucket.
+  void listener_insert(NodeId id, const Position& pos);
+  void listener_remove(NodeId id, const Position& pos);
+  /// All hinted nodes within `range_m` of `center` (plus
+  /// grid-granularity slack), appended to `out` one ascending bucket
+  /// after another.
+  void collect_listeners_in_range(const Position& center, double range_m,
+                                  std::vector<NodeId>& out) const;
 
   Scheduler& scheduler_;
   phy::Channel channel_;
@@ -378,8 +411,17 @@ class Medium {
 
   bool grid_enabled_ = true;
   double cell_size_m_ = 25.0;  // set from the channel in the ctor
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> cells_;
+  /// Per-cell buckets of the nodes holding the listening hint, each in
+  /// ascending NodeId order: delivery concatenates the buckets in range
+  /// and sorts, and sorted runs keep that sort cheap on listen-heavy
+  /// fleets. Sleeping nodes appear in no bucket.
+  std::unordered_map<std::uint64_t, std::vector<NodeId>> listener_cells_;
+  /// Delivery candidates of the transmission being delivered, visited
+  /// by index so set_listening() can admit a node whose hint rises
+  /// mid-delivery ahead of the cursor (see deliver()).
   std::vector<NodeId> delivery_scratch_;
+  std::size_t delivery_cursor_ = 0;
+  bool delivering_ = false;
 
   // --- flat path-loss cache --------------------------------------------------
   // Open-addressed, linear probing, power-of-two capacity. Replaces the

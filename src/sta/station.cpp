@@ -27,6 +27,7 @@ Station::Station(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position p
       timeline_(config_.power.supply),
       tracker_(scheduler, timeline_, config_.power.radio_tx, config_.power.tx_ramp) {
   node_id_ = medium_.attach(this, position);
+  medium_.set_listening(node_id_, listening_hint());
   sim::CsmaConfig csma_cfg;
   csma_cfg.tx_power_dbm = config_.tx_power_dbm;
   csma_ = std::make_unique<sim::Csma>(scheduler_, medium_, node_id_, rng_.fork(), csma_cfg);
@@ -72,12 +73,18 @@ bool Station::radio_on() const {
   }
 }
 
+bool Station::listening_hint() const {
+  // In deep sleep only the uW companion receiver (if fitted) listens.
+  return (config_.wur && phase_ == Phase::DeepSleep) || radio_on();
+}
+
+void Station::set_phase(Phase phase) {
+  phase_ = phase;
+  medium_.set_listening(node_id_, listening_hint());
+}
+
 bool Station::rx_enabled() const {
-  if (config_.wur && phase_ == Phase::DeepSleep) {
-    // Only the uW companion receiver is listening.
-    return !medium_.transmitting(node_id_);
-  }
-  return radio_on() && !medium_.transmitting(node_id_);
+  return listening_hint() && !medium_.transmitting(node_id_);
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +119,7 @@ void Station::power_save_send(Bytes payload, CycleCallback done) {
   pending_payload_ = std::move(payload);
   cycle_done_ = std::move(done);
   wake_time_ = scheduler_.now();
-  phase_ = Phase::PsSend;
+  set_phase(Phase::PsSend);
   tracker_.set_phase(config_.power.cpu_active, kPhaseTx);
   // MCU wake from automatic light sleep, then hand the frame to the MAC.
   // Epoch guards: if the link is torn down (fault injection, beacon
@@ -150,7 +157,7 @@ void Station::disconnect(std::function<void()> done) {
     scheduler_.cancel(*ps_wake_timer_);
     ps_wake_timer_.reset();
   }
-  phase_ = Phase::PsSend;  // radio up for the farewell frame
+  set_phase(Phase::PsSend);  // radio up for the farewell frame
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
   dot11::Deauthentication deauth;
   deauth.reason = dot11::ReasonCode::DeauthLeaving;
@@ -173,7 +180,7 @@ void Station::disconnect(std::function<void()> done) {
 
 void Station::begin_wake(bool full_connect) {
   wake_time_ = scheduler_.now();
-  phase_ = Phase::Boot;
+  set_phase(Phase::Boot);
   step_attempts_ = 0;
   counting_connect_frames_ = true;
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
@@ -181,7 +188,7 @@ void Station::begin_wake(bool full_connect) {
       config_.power.boot_from_deep_sleep +
       (full_connect ? config_.power.wifi_client_init : config_.power.wifi_inject_init);
   scheduler_.schedule_in(init_time, [this] {
-    phase_ = Phase::Probe;
+    set_phase(Phase::Probe);
     tracker_.set_phase(config_.power.radio_rx, kPhaseAssoc);
     step_probe();
   });
@@ -200,7 +207,7 @@ void Station::step_probe() {
 }
 
 void Station::step_auth() {
-  phase_ = Phase::Auth;
+  set_phase(Phase::Auth);
   dot11::Authentication auth;
   auth.transaction_seq = 1;
   ++stats_.connect_mac_frames;
@@ -209,7 +216,7 @@ void Station::step_auth() {
 }
 
 void Station::step_assoc() {
-  phase_ = Phase::Assoc;
+  set_phase(Phase::Assoc);
   dot11::AssocRequest req;
   req.listen_interval = static_cast<std::uint16_t>(config_.listen_skip);
   req.ies.add(dot11::make_ssid_ie(config_.ssid));
@@ -265,7 +272,7 @@ void Station::step_dhcp_discover() {
   if (phase_ != Phase::Dhcp) {
     // First entry (not a retry): fresh transaction id; retransmissions
     // reuse it, as RFC 2131 requires.
-    phase_ = Phase::Dhcp;
+    set_phase(Phase::Dhcp);
     dhcp_xid_ = static_cast<std::uint32_t>(rng_.next());
   }
   tracker_.set_phase(config_.power.dfs_idle_wait, kPhaseDhcp);
@@ -291,7 +298,7 @@ void Station::step_dhcp_request() {
 }
 
 void Station::step_arp() {
-  phase_ = Phase::Arp;
+  set_phase(Phase::Arp);
   const auto arp = net::ArpPacket::request(config_.mac, *ip_, gateway_ip_);
   ++stats_.connect_higher_layer_frames;
   send_llc_to_ap(net::EtherType::Arp, arp.encode(), ccmp_ != nullptr, false);
@@ -323,7 +330,7 @@ void Station::step_announce_and_send() {
     return;
   }
 
-  phase_ = Phase::SendData;
+  set_phase(Phase::SendData);
   tracker_.set_phase(config_.power.radio_rx, kPhaseTx);
   send_payload_and_finish([this] { finish_cycle(true); });
 }
@@ -355,7 +362,7 @@ void Station::send_payload_and_finish(std::function<void()> after_tx) {
 
 void Station::finish_cycle(bool success) {
   disarm_step_timeout();
-  phase_ = Phase::Shutdown;
+  set_phase(Phase::Shutdown);
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
   scheduler_.schedule_in(config_.power.shutdown_time, [this, success] {
     CycleReport report;
@@ -374,7 +381,7 @@ void Station::finish_cycle(bool success) {
 }
 
 void Station::enter_deep_sleep() {
-  phase_ = Phase::DeepSleep;
+  set_phase(Phase::DeepSleep);
   ++link_epoch_;  // invalidate continuations of the association being torn down
   ccmp_.reset();
   ip_.reset();
@@ -443,7 +450,7 @@ void Station::fail_step(const char* what) {
 // ---------------------------------------------------------------------------
 
 void Station::enter_ps_idle() {
-  phase_ = Phase::PsIdle;
+  set_phase(Phase::PsIdle);
   tracker_.set_phase(config_.power.light_sleep, kPhaseSleep);
   // A wake timer may survive from before a PS send; never run two chains.
   if (ps_wake_timer_) {
@@ -467,7 +474,7 @@ void Station::schedule_ps_beacon_wake() {
   ps_wake_timer_ = scheduler_.schedule_at(target, [this] {
     ps_wake_timer_.reset();
     if (phase_ != Phase::PsIdle) return;  // a send is in progress
-    phase_ = Phase::PsBeaconRx;
+    set_phase(Phase::PsBeaconRx);
     beacon_seen_in_window_ = false;
     tracker_.set_phase(config_.power.radio_rx, kPhaseSleep);
     // The close event is tracked in ps_wake_timer_ too, so a teardown
@@ -481,7 +488,7 @@ void Station::schedule_ps_beacon_wake() {
 
 void Station::close_ps_beacon_window() {
   if (phase_ == Phase::PsBeaconRx) {
-    phase_ = Phase::PsIdle;
+    set_phase(Phase::PsIdle);
     tracker_.set_phase(config_.power.light_sleep, kPhaseSleep);
     if (!beacon_seen_in_window_) {
       ++stats_.beacons_missed;
@@ -657,7 +664,7 @@ void Station::handle_mgmt(const dot11::ParsedMpdu& mpdu) {
       if (config_.passphrase.empty()) {
         step_dhcp_discover();
       } else {
-        phase_ = Phase::Handshake;
+        set_phase(Phase::Handshake);
         arm_step_timeout([this] { fail_step("handshake M1 timeout"); });
       }
       break;
@@ -678,7 +685,7 @@ void Station::handle_mgmt(const dot11::ParsedMpdu& mpdu) {
       const auto tim = dot11::parse_tim_ie(beacon->ies);
       if (tim && aid_ != 0 && tim->traffic_for(aid_)) {
         // Fetch the buffered frame with a PS-Poll.
-        phase_ = Phase::PsBeaconRx;  // stay awake for the delivery
+        set_phase(Phase::PsBeaconRx);  // stay awake for the delivery
         sim::TxRequest req;
         req.mpdu = dot11::build_ps_poll(aid_, bssid_, config_.mac);
         req.airtime = phy::frame_airtime(req.mpdu.size(), phy::kControlResponseRate);

@@ -269,6 +269,12 @@ class Station : public sim::MediumClient {
   void disarm_step_timeout();
   std::uint16_t next_seq() { return seq_++ & 0x0fff; }
   [[nodiscard]] bool radio_on() const;
+  /// The only writer of phase_: every write re-derives the medium's
+  /// listening hint, so the hint cannot drift from rx_enabled().
+  void set_phase(Phase phase);
+  /// rx_enabled() minus the own-transmission check; mirrored into
+  /// Medium::set_listening.
+  [[nodiscard]] bool listening_hint() const;
 
   sim::Scheduler& scheduler_;
   sim::Medium& medium_;

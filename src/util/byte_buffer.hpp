@@ -185,10 +185,14 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const {
-    if (remaining() < n) {
-      throw BufferUnderflow("ByteReader: need " + std::to_string(n) + " bytes, have " +
-                            std::to_string(remaining()));
-    }
+    if (remaining() < n) throw_underflow(n);
+  }
+  // Kept out of line: with the message built inline in every read, GCC
+  // 12 warned (-Warray-bounds) about the unreachable read that follows
+  // a failed check on a buffer of known size.
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_underflow(std::size_t n) const {
+    throw BufferUnderflow("ByteReader: need " + std::to_string(n) + " bytes, have " +
+                          std::to_string(remaining()));
   }
 
   BytesView data_;

@@ -48,7 +48,8 @@ std::optional<Bytes> from_hex(std::string_view text) {
 
 std::string hexdump(BytesView data) {
   std::string out;
-  char line[16];
+  // Widest write: a 64-bit offset (16 hex digits) + two spaces + NUL.
+  char line[20];
   for (std::size_t row = 0; row < data.size(); row += 16) {
     std::snprintf(line, sizeof(line), "%08zx  ", row);
     out += line;

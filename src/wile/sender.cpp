@@ -34,6 +34,7 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
   sequence_ = config_.initial_sequence;
   timeline_.set_max_segments(config_.timeline_max_segments);
   node_id_ = medium_.attach(this, position);
+  medium_.set_listening(node_id_, listening_hint());
   sim::CsmaConfig csma_cfg;
   csma_cfg.tx_power_dbm = config_.tx_power_dbm;
   csma_cfg.band = config_.band;
@@ -79,13 +80,23 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
   }
 }
 
-bool Sender::rx_enabled() const {
+bool Sender::listening_hint() const {
   if (config_.wur && phase_ == Phase::DeepSleep) {
     // The uW companion receiver listens whenever the main radio sleeps —
     // unless a brown-out darkened the whole board.
-    return !recovering_ && !medium_.transmitting(node_id_);
+    return !recovering_;
   }
-  return phase_ == Phase::RxWindow && !medium_.transmitting(node_id_);
+  return phase_ == Phase::RxWindow;
+}
+
+void Sender::set_radio_state(Phase phase, bool recovering) {
+  phase_ = phase;
+  recovering_ = recovering;
+  medium_.set_listening(node_id_, listening_hint());
+}
+
+bool Sender::rx_enabled() const {
+  return listening_hint() && !medium_.transmitting(node_id_);
 }
 
 void Sender::send_now(Bytes data, SendCallback done) {
@@ -407,7 +418,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
     cycle_failed_ = true;
   }
 
-  phase_ = Phase::Init;
+  set_radio_state(Phase::Init, recovering_);
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
   const Duration init =
       config_.power.boot_from_deep_sleep + config_.power.wifi_inject_init;
@@ -420,7 +431,7 @@ void Sender::encode_and_transmit(const Message& message, bool include_recovery) 
       finish_cycle();
       return;
     }
-    phase_ = Phase::Tx;
+    set_radio_state(Phase::Tx, recovering_);
     tracker_.set_phase(config_.power.cpu_active, kPhaseTx);
     trace_begin(telemetry::Phase::Tx);
     inject_fragments(std::move(mpdus), 0);
@@ -485,13 +496,13 @@ void Sender::after_last_beacon() {
   // Two-way extension: idle briefly, then listen for the announced
   // window. The radio draws RX current for the whole window — this is
   // the energy cost E8 measures against always-on listening.
-  phase_ = Phase::Tx;  // offset gap: radio on but not yet listening
+  set_radio_state(Phase::Tx, recovering_);  // offset gap: radio on but not yet listening
   tracker_.set_phase(config_.power.cpu_active, kPhaseRxWindow);
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(config_.rx_window->offset, [this, epoch] {
     if (epoch != cycle_epoch_) return;
     if (maybe_brown_out()) return;
-    phase_ = Phase::RxWindow;
+    set_radio_state(Phase::RxWindow, recovering_);
     tracker_.set_phase(config_.power.radio_rx, kPhaseRxWindow);
     trace_begin(telemetry::Phase::RxWindow);
     scheduler_.schedule_in(config_.rx_window->duration, [this, epoch] {
@@ -504,12 +515,12 @@ void Sender::after_last_beacon() {
 
 void Sender::finish_cycle() {
   checkpoint_.reset();  // cycle completed (or failed terminally)
-  phase_ = Phase::Shutdown;
+  set_radio_state(Phase::Shutdown, recovering_);
   tracker_.set_phase(config_.power.cpu_active, kPhaseInit);
   const std::uint64_t epoch = cycle_epoch_;
   scheduler_.schedule_in(config_.power.shutdown_time, [this, epoch] {
     if (epoch != cycle_epoch_) return;  // browned out during shutdown
-    phase_ = Phase::DeepSleep;
+    set_radio_state(Phase::DeepSleep, recovering_);
     tracker_.set_phase(config_.power.deep_sleep,
                        config_.wur ? kPhaseWurListen : kPhaseSleep);
     // A capacitor that ran dry during shutdown browns out here; the
@@ -587,9 +598,8 @@ void Sender::on_brown_out() {
     // written in begin_cycle survives in the persistent region.
     ++cycle_epoch_;
     csma_->drop_queued();
-    phase_ = Phase::DeepSleep;
   }
-  recovering_ = true;
+  set_radio_state(Phase::DeepSleep, /*recovering=*/true);
   brown_out_at_ = scheduler_.now();
   // Dark: not even sleep current, and the WUR companion receiver dies
   // with the rest of the board (its overlay must not keep integrating).
@@ -627,7 +637,7 @@ void Sender::resume_cycle() {
     schedule_resume();
     return;
   }
-  recovering_ = false;
+  set_radio_state(phase_, /*recovering=*/false);
   if (config_.wur) tracker_.set_overlay(config_.wur->receiver.listen);
   tracker_.set_phase(config_.power.deep_sleep,
                      config_.wur ? kPhaseWurListen : kPhaseSleep);

@@ -378,6 +378,14 @@ class Sender : public sim::MediumClient {
     bool fec = false;
   };
 
+  /// The only writer of phase_ and recovering_: every write re-derives
+  /// the medium's listening hint, so the hint cannot drift from
+  /// rx_enabled().
+  void set_radio_state(Phase phase, bool recovering);
+  /// Whether any receiver on the board is powered (rx_enabled() minus
+  /// the own-transmission check); mirrored into Medium::set_listening.
+  [[nodiscard]] bool listening_hint() const;
+
   void begin_cycle(Bytes data, SendCallback done);
   /// Shared back half of begin_cycle/resume_cycle: encode `message`
   /// into this cycle's beacon train and schedule the init->TX chain.

@@ -2,8 +2,14 @@
 // collisions and carrier sense, and the CSMA/CA machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <memory>
+#include <random>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dot11/frame.hpp"
 #include "sim/csma.hpp"
@@ -253,6 +259,229 @@ TEST_F(MediumTest, SleepingRadioMissesFrames) {
   medium.transmit(tx, std::move(req));
   scheduler.run_until_idle();
   EXPECT_TRUE(rx_client.frames.empty());
+}
+
+// --- listening hint (listener-indexed delivery) -----------------------------
+
+/// One short G6 frame from `tx`, run to completion.
+void send_one(Scheduler& scheduler, Medium& medium, NodeId tx) {
+  TxRequest req;
+  req.mpdu = Bytes{1};
+  req.airtime = usec(50);
+  req.rate = phy::WifiRate::G6;
+  medium.transmit(tx, std::move(req));
+  scheduler.run_until_idle();
+}
+
+TEST_F(MediumTest, UnhintedNodeGetsNeitherFramesNorCorruptFrames) {
+  // `unhinted` breaks the hint contract on purpose (it still reports
+  // rx_enabled) to show grid delivery never asks it; its hinted twin at
+  // the same spot sees a clean frame, a collision and a channel loss.
+  RecordingClient a_client, b_client, hinted, unhinted;
+  const NodeId a = medium.attach(&a_client, {0, 0});
+  const NodeId b = medium.attach(&b_client, {1, 0});
+  medium.attach(&hinted, {0.5, 1});
+  const NodeId quiet = medium.attach(&unhinted, {0.5, 1});
+  medium.set_listening(quiet, false);
+  EXPECT_FALSE(medium.listening(quiet));
+
+  send_one(scheduler, medium, a);
+
+  TxRequest ra;
+  ra.mpdu = Bytes{2};
+  ra.airtime = usec(100);
+  medium.transmit(a, std::move(ra));
+  scheduler.schedule_in(usec(50), [&] {
+    TxRequest rb;
+    rb.mpdu = Bytes{3};
+    rb.airtime = usec(100);
+    medium.transmit(b, std::move(rb));
+  });
+  scheduler.run_until_idle();
+
+  medium.set_loss_floor(1.0);
+  send_one(scheduler, medium, a);
+
+  EXPECT_EQ(hinted.frames.size(), 1u);
+  EXPECT_EQ(hinted.collisions, 2);
+  EXPECT_EQ(hinted.channel_losses, 1);
+  EXPECT_TRUE(unhinted.frames.empty());
+  EXPECT_EQ(unhinted.collisions, 0);
+  EXPECT_EQ(unhinted.channel_losses, 0);
+}
+
+TEST_F(MediumTest, DenseScanIsTheHintOracle) {
+  // The dense scan still polls every node; one that cleared its hint
+  // while reporting rx_enabled() is a contract breach it reports.
+  medium.set_spatial_grid_enabled(false);
+  RecordingClient tx_client, honest, liar;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId sleeper = medium.attach(&honest, {2, 0});
+  medium.set_listening(sleeper, false);
+  honest.listening = false;
+  send_one(scheduler, medium, tx);  // an honest sleeper is fine
+  EXPECT_TRUE(honest.frames.empty());
+
+  const NodeId bad = medium.attach(&liar, {3, 0});
+  medium.set_listening(bad, false);
+  TxRequest req;
+  req.mpdu = Bytes{1};
+  req.airtime = usec(50);
+  medium.transmit(tx, std::move(req));
+  EXPECT_THROW(scheduler.run_until_idle(), std::logic_error);
+}
+
+TEST_F(MediumTest, RepeatedListeningToggleIsIdempotent) {
+  RecordingClient tx_client, rx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId rx = medium.attach(&rx_client, {2, 0});
+  EXPECT_TRUE(medium.listening(rx));  // nodes attach hinted
+  medium.set_listening(rx, true);
+  EXPECT_TRUE(medium.listener_index_consistent());
+  send_one(scheduler, medium, tx);
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+
+  medium.set_listening(rx, false);
+  medium.set_listening(rx, false);
+  EXPECT_FALSE(medium.listening(rx));
+  EXPECT_TRUE(medium.listener_index_consistent());
+  rx_client.listening = false;
+  send_one(scheduler, medium, tx);
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+
+  rx_client.listening = true;
+  medium.set_listening(rx, true);
+  medium.set_listening(rx, true);
+  EXPECT_TRUE(medium.listener_index_consistent());
+  send_one(scheduler, medium, tx);
+  EXPECT_EQ(rx_client.frames.size(), 2u);  // one bucket entry, one delivery
+}
+
+TEST_F(MediumTest, SetPositionMovesHintedNodeToItsNewCell) {
+  RecordingClient tx_client, rx_client, sleeper_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  const NodeId rx = medium.attach(&rx_client, {100'000, 0});
+  const NodeId sleeper = medium.attach(&sleeper_client, {100'000, 0});
+  medium.set_listening(sleeper, false);
+  sleeper_client.listening = false;
+  send_one(scheduler, medium, tx);
+  EXPECT_TRUE(rx_client.frames.empty());
+
+  medium.set_position(rx, {2, 0});
+  medium.set_position(sleeper, {2, 0});
+  EXPECT_TRUE(medium.listener_index_consistent());
+  EXPECT_FALSE(medium.listening(sleeper));  // moving keeps the hint as is
+  send_one(scheduler, medium, tx);
+  EXPECT_EQ(rx_client.frames.size(), 1u);
+
+  sleeper_client.listening = true;
+  medium.set_listening(sleeper, true);  // raised in its new cell
+  send_one(scheduler, medium, tx);
+  EXPECT_EQ(sleeper_client.frames.size(), 1u);
+  EXPECT_EQ(rx_client.frames.size(), 2u);
+
+  medium.set_position(rx, {100'000, 0});
+  EXPECT_TRUE(medium.listener_index_consistent());
+  send_one(scheduler, medium, tx);
+  EXPECT_EQ(rx_client.frames.size(), 2u);
+}
+
+/// Appends its node id to a shared log on every decoded frame.
+class OrderClient : public RecordingClient {
+ public:
+  OrderClient(std::vector<NodeId>& log, NodeId id) : log_(&log), id_(id) {}
+  void on_frame(const RxFrame& frame) override {
+    RecordingClient::on_frame(frame);
+    log_->push_back(id_);
+  }
+
+ private:
+  std::vector<NodeId>* log_;
+  NodeId id_;
+};
+
+TEST_F(MediumTest, ListenerBucketsStayAscending) {
+  // 32 receivers in one cell: hints cleared and raised again in shuffled
+  // order, some nodes moved out and back. Insertions land mid-bucket,
+  // and the bucket must stay strictly ascending throughout.
+  RecordingClient tx_client;
+  const NodeId tx = medium.attach(&tx_client, {0, 0});
+  std::vector<NodeId> log;
+  std::vector<std::unique_ptr<OrderClient>> clients;
+  std::vector<NodeId> ids;
+  for (int i = 0; i < 32; ++i) {
+    const auto id = static_cast<NodeId>(medium.node_count());
+    clients.push_back(std::make_unique<OrderClient>(log, id));
+    ids.push_back(medium.attach(clients.back().get(), {1.0 + 0.1 * i, 0.5}));
+  }
+  std::mt19937 shuffle_rng{7};
+  std::shuffle(ids.begin(), ids.end(), shuffle_rng);
+  for (const NodeId id : ids) medium.set_listening(id, false);
+  EXPECT_TRUE(medium.listener_index_consistent());
+  std::shuffle(ids.begin(), ids.end(), shuffle_rng);
+  for (const NodeId id : ids) {
+    medium.set_listening(id, true);
+    ASSERT_TRUE(medium.listener_index_consistent());
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) {
+    const Position home = medium.position(ids[i]);
+    medium.set_position(ids[i], {100'000, 0});
+    medium.set_position(ids[i], home);
+  }
+  EXPECT_TRUE(medium.listener_index_consistent());
+
+  send_one(scheduler, medium, tx);
+  ASSERT_EQ(log.size(), 32u);
+  EXPECT_TRUE(std::is_sorted(log.begin(), log.end()));
+}
+
+/// On every decoded frame, wakes a set of sleeping radios (as a
+/// gateway's monitor wakes its station to forward a reading).
+class WakerClient : public RecordingClient {
+ public:
+  void on_frame(const RxFrame& frame) override {
+    RecordingClient::on_frame(frame);
+    for (auto& [client, id] : wakes) {
+      client->listening = true;
+      medium->set_listening(id, true);
+    }
+  }
+  Medium* medium = nullptr;
+  std::vector<std::pair<RecordingClient*, NodeId>> wakes;
+};
+
+TEST(MediumListening, HintRaisedDuringDeliveryMatchesDenseScan) {
+  // The dense scan polls a radio woken by an earlier receiver's callback
+  // if it comes later in NodeId order, so grid delivery must admit it
+  // into the same transmission; one woken earlier in order misses it
+  // either way.
+  for (const bool grid : {true, false}) {
+    SCOPED_TRACE(grid ? "grid" : "dense");
+    Scheduler scheduler;
+    Medium medium{scheduler, phy::Channel{}, Rng{1}};
+    medium.set_spatial_grid_enabled(grid);
+    RecordingClient tx_client, early, late, far;
+    WakerClient waker;
+    waker.medium = &medium;
+    const NodeId tx = medium.attach(&tx_client, {0, 0});
+    const NodeId early_id = medium.attach(&early, {1, 0});
+    medium.attach(&waker, {2, 0});
+    const NodeId late_id = medium.attach(&late, {3, 0});
+    const NodeId far_id = medium.attach(&far, {100'000, 0});
+    for (auto [client, id] : {std::pair{&early, early_id}, std::pair{&late, late_id},
+                              std::pair{&far, far_id}}) {
+      client->listening = false;
+      medium.set_listening(id, false);
+      waker.wakes.emplace_back(client, id);
+    }
+
+    send_one(scheduler, medium, tx);
+    EXPECT_TRUE(early.frames.empty());
+    EXPECT_EQ(late.frames.size(), 1u);
+    EXPECT_TRUE(far.frames.empty());  // admitted, then below the power floor
+    EXPECT_EQ(medium.stats().deliveries, 2u);
+    EXPECT_TRUE(medium.listener_index_consistent());
+  }
 }
 
 TEST_F(MediumTest, OverlappingTransmissionsCollideAtReceiver) {
