@@ -17,13 +17,16 @@
 #include "crypto/pbkdf2.hpp"
 #include "crypto/sha1.hpp"
 #include "dot11/frame.hpp"
+#include "dot11/mgmt.hpp"
 #include "phy/channel.hpp"
 #include "sim/medium.hpp"
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
+#include "util/frame_buffer.hpp"
 #include "util/rng.hpp"
 #include "wile/codec.hpp"
 #include "wile/ingest.hpp"
+#include "wile/receiver.hpp"
 #include "wile/rules/engine.hpp"
 
 using namespace wile;
@@ -391,6 +394,86 @@ void BM_RulesEval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RulesEval)->Arg(100)->Arg(10000);
+
+void BM_ReceiverOnFrame(benchmark::State& state) {
+  // The gateway's first hop over an N-device fleet: one complete
+  // hidden-SSID Wi-LE beacon MPDU through Receiver::on_frame (FCS check,
+  // beacon and element decode, the registry probe, sequence tracking
+  // and the FEC payload cache). Every device is registered before timing
+  // starts and each frame carries its device's next sequence, so every
+  // frame delivers a message. When the frame pool wraps, a fresh
+  // receiver is warmed up outside the timed region so no frame replays
+  // as a duplicate.
+  const auto n_devices = static_cast<std::uint32_t>(state.range(0));
+  const core::Codec codec;
+  dot11::Beacon prototype;
+  prototype.capability = dot11::Capability::kEss | dot11::Capability::kShortSlot;
+  prototype.ies.add(dot11::make_ssid_ie(""));
+  prototype.ies.add(dot11::make_supported_rates_ie(dot11::default_bg_rates()));
+  prototype.ies.add(dot11::make_ds_param_ie(6));
+  Rng rng{0xBEAC0};
+  auto frame_for = [&](std::uint32_t device, std::uint32_t seq) {
+    core::Message m;
+    m.device_id = device;
+    m.sequence = seq;
+    m.data = random_bytes(8, rng.next());
+    dot11::Beacon beacon = prototype;
+    beacon.ies.add(codec.encode(m).front());
+    const MacAddress mac = MacAddress::from_seed(0x5E000000ull + device);
+    sim::RxFrame frame;
+    frame.mpdu = FrameBuffer::copy_of(dot11::build_mgmt_mpdu(
+        dot11::MgmtSubtype::Beacon, MacAddress::broadcast(), mac, mac,
+        static_cast<std::uint16_t>(seq & 0x0fff), beacon.encode()));
+    frame.rx_power_dbm = -60.0;
+    return frame;
+  };
+
+  std::vector<sim::RxFrame> warmup;
+  warmup.reserve(n_devices);
+  for (std::uint32_t id = 0; id < n_devices; ++id) warmup.push_back(frame_for(id, 0));
+  std::vector<sim::RxFrame> frames;
+  frames.reserve(std::size_t{1} << 16);
+  std::vector<std::uint32_t> next_seq(n_devices, 1);
+  while (frames.size() < frames.capacity()) {
+    const auto device = static_cast<std::uint32_t>(rng.below(n_devices));
+    frames.push_back(frame_for(device, next_seq[device]++));
+  }
+
+  core::ReceiverConfig cfg;
+  cfg.require_hidden_ssid = true;
+  struct Rig {
+    explicit Rig(const core::ReceiverConfig& cfg) : rx{scheduler, medium, {0, 0}, cfg} {}
+    sim::Scheduler scheduler;
+    sim::Medium medium{scheduler, phy::Channel{}, Rng{19}};
+    core::Receiver rx;
+  };
+  std::unique_ptr<Rig> rig;
+  std::uint64_t timed_messages = 0;  // deliveries beyond each warm-up
+  auto fresh_rig = [&] {
+    if (rig) timed_messages += rig->rx.stats().messages - n_devices;
+    rig = std::make_unique<Rig>(cfg);
+    for (const sim::RxFrame& f : warmup) rig->rx.on_frame(f);
+  };
+  fresh_rig();
+
+  std::size_t i = 0;
+  for (auto _ : state) {
+    rig->rx.on_frame(frames[i]);
+    if (++i == frames.size()) {
+      state.PauseTiming();
+      fresh_rig();
+      i = 0;
+      state.ResumeTiming();
+    }
+  }
+  timed_messages += rig->rx.stats().messages - n_devices;
+  benchmark::DoNotOptimize(timed_messages);
+  if (timed_messages != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a timed frame did not deliver a message");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReceiverOnFrame)->Arg(1000)->Arg(100000);
 
 }  // namespace
 

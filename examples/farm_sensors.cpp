@@ -108,11 +108,11 @@ int main() {
   std::printf("\n--- after 10 minutes ---\n");
   std::printf("%-8s %9s %8s %8s %10s\n", "sensor", "messages", "lost", "loss%", "rssi dBm");
   std::uint64_t total = 0, lost = 0;
-  for (const auto& [id, dev] : phone.devices()) {
+  for (const core::DeviceInfo& dev : phone.devices()) {
     const double loss_pct =
         100.0 * static_cast<double>(dev.estimated_losses) /
         static_cast<double>(dev.messages + dev.estimated_losses);
-    std::printf("%-8u %9llu %8llu %7.1f%% %10.0f\n", id,
+    std::printf("%-8u %9llu %8llu %7.1f%% %10.0f\n", dev.device_id,
                 static_cast<unsigned long long>(dev.messages),
                 static_cast<unsigned long long>(dev.estimated_losses), loss_pct,
                 dev.last_rssi_dbm);
@@ -126,5 +126,5 @@ int main() {
               static_cast<unsigned long long>(phone.stats().crc_failures +
                                               phone.stats().decrypt_failures),
               static_cast<unsigned long long>(phone.stats().collisions_observed));
-  return phone.devices().size() == kSensors ? 0 : 1;
+  return phone.device_count() == kSensors ? 0 : 1;
 }

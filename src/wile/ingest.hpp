@@ -31,10 +31,12 @@
 namespace wile::core {
 
 /// Everything the controller knows about one device, in one record.
-/// Kept to 40 bytes (one cache line per table slot): the downlink queue
-/// — present for a tiny fraction of a massive-IoT fleet — lives behind
-/// a lazily allocated pointer so the 99% of records that never queue a
-/// downlink stay flat and allocation-free.
+/// Kept to 40 bytes, so a table slot (8-byte key plus the record) is
+/// 48 bytes: slots straddle 64-byte cache lines, each spanning at most
+/// two. The downlink queue — present for a tiny fraction of a
+/// massive-IoT fleet — lives behind a lazily allocated pointer so the
+/// 99% of records that never queue a downlink stay flat and
+/// allocation-free.
 struct DeviceState {
   // --- wrap-safe reception track (input to ChannelReports) ---
   /// Seen bitmap over the most recent uplink sequences (bit i set means
@@ -61,6 +63,7 @@ struct DeviceState {
     return *queued_downlinks;
   }
 };
+static_assert(sizeof(DeviceState) == 40, "DeviceState grew: re-check the slot size above");
 
 class IngestTable {
  public:

@@ -1,5 +1,6 @@
 #include "wile/receiver.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "dot11/mgmt.hpp"
@@ -77,16 +78,33 @@ void Receiver::on_frame(const sim::RxFrame& frame) {
   if (any) ++stats_.wile_beacons;
 }
 
+const DeviceInfo* Receiver::device(std::uint32_t device_id) const {
+  const DeviceRecord* rec = registry_.find(device_id);
+  return rec != nullptr && rec->registered() ? &rec->info : nullptr;
+}
+
+std::vector<DeviceInfo> Receiver::devices() const {
+  std::vector<DeviceInfo> out;
+  out.reserve(device_count_);
+  registry_.for_each([&](std::uint32_t, const DeviceRecord& rec) {
+    if (rec.registered()) out.push_back(rec.info);
+  });
+  std::sort(out.begin(), out.end(), [](const DeviceInfo& a, const DeviceInfo& b) {
+    return a.device_id < b.device_id;
+  });
+  return out;
+}
+
 std::string Receiver::devices_csv() const {
   std::string out =
       "device_id,messages,losses,loss_pct,last_seq,first_seen_s,last_seen_s,rssi_dbm\n";
   char line[160];
-  for (const auto& [id, dev] : devices_) {
+  for (const DeviceInfo& dev : devices()) {
     const double total = static_cast<double>(dev.messages + dev.estimated_losses);
     const double loss_pct =
         total > 0 ? 100.0 * static_cast<double>(dev.estimated_losses) / total : 0.0;
-    std::snprintf(line, sizeof(line), "%u,%llu,%llu,%.2f,%u,%.3f,%.3f,%.1f\n", id,
-                  static_cast<unsigned long long>(dev.messages),
+    std::snprintf(line, sizeof(line), "%u,%llu,%llu,%.2f,%u,%.3f,%.3f,%.1f\n",
+                  dev.device_id, static_cast<unsigned long long>(dev.messages),
                   static_cast<unsigned long long>(dev.estimated_losses), loss_pct,
                   dev.last_sequence, to_seconds(dev.first_seen.since_epoch()),
                   to_seconds(dev.last_seen.since_epoch()), dev.last_rssi_dbm);
@@ -104,7 +122,8 @@ void Receiver::accept_fragment(const Fragment& fragment, const RxMeta& meta) {
 
   if (message->type == MessageType::Recovery) {
     if (auto payload = decode_recovery_payload(message->data)) {
-      handle_recovery(message->device_id, message->sequence, *payload, meta);
+      handle_recovery(registry_.find_or_insert(message->device_id), message->device_id,
+                      message->sequence, *payload, meta);
     }
     return;
   }
@@ -114,14 +133,18 @@ void Receiver::accept_fragment(const Fragment& fragment, const RxMeta& meta) {
     if (callback_) callback_(*message, meta);
     return;
   }
-  deliver(*message, meta, /*recovered=*/false);
-  drain_pending(message->device_id, meta);
+  // The one registry probe for this message: deliver and drain_pending
+  // both work on the record it returns.
+  DeviceRecord& rec = registry_.find_or_insert(message->device_id);
+  deliver(rec, *message, meta, /*recovered=*/false);
+  drain_pending(rec, message->device_id, meta);
 }
 
-bool Receiver::register_message(const Message& message, const RxMeta& meta) {
-  auto [it, inserted] = devices_.try_emplace(message.device_id);
-  DeviceInfo& dev = it->second;
-  if (inserted) {
+bool Receiver::register_message(DeviceRecord& rec, const Message& message,
+                                const RxMeta& meta) {
+  DeviceInfo& dev = rec.info;
+  if (!rec.registered()) {
+    ++device_count_;
     dev.device_id = message.device_id;
     dev.first_seen = meta.received_at;
     dev.last_sequence = message.sequence;
@@ -158,8 +181,9 @@ bool Receiver::register_message(const Message& message, const RxMeta& meta) {
   return true;
 }
 
-void Receiver::deliver(const Message& message, const RxMeta& meta, bool recovered) {
-  if (!register_message(message, meta)) return;
+void Receiver::deliver(DeviceRecord& rec, const Message& message, const RxMeta& meta,
+                       bool recovered) {
+  if (!register_message(rec, message, meta)) return;
   if (recovered) {
     ++cross_recovered_;
     stats_.recovered = reassembler_.parity_recoveries() + cross_recovered_;
@@ -168,36 +192,45 @@ void Receiver::deliver(const Message& message, const RxMeta& meta, bool recovere
   // device's own sequence space, not controller Acks/Downlinks.
   if (message.type == MessageType::Telemetry || message.type == MessageType::Event ||
       message.type == MessageType::Probe) {
-    FecState& fec = fec_[message.device_id];
-    fec.cache.push_back({message.sequence, message.type, message.data});
-    if (fec.cache.size() > kPayloadCacheSize) fec.cache.erase(fec.cache.begin());
+    FecState& fec = rec.fec;
+    if (fec.cache.size() < kPayloadCacheSize) {
+      fec.cache.push_back({message.sequence, message.type, message.data});
+    } else {
+      // Full: overwrite the oldest entry, reusing its buffer.
+      CachedPayload& oldest = fec.cache[fec.cache_next];
+      fec.cache_next = static_cast<std::uint8_t>((fec.cache_next + 1) % kPayloadCacheSize);
+      oldest.sequence = message.sequence;
+      oldest.type = message.type;
+      oldest.data.assign(message.data.begin(), message.data.end());
+    }
   }
   if (callback_) callback_(message, meta);
 }
 
-void Receiver::handle_recovery(std::uint32_t device_id, std::uint32_t recovery_seq,
-                               const RecoveryPayload& payload, const RxMeta& meta) {
-  FecState& fec = fec_[device_id];
-  if (fec.last_recovery_seq && seq_ahead(recovery_seq, *fec.last_recovery_seq) <= 0) {
+void Receiver::handle_recovery(DeviceRecord& rec, std::uint32_t device_id,
+                               std::uint32_t recovery_seq, const RecoveryPayload& payload,
+                               const RxMeta& meta) {
+  FecState& fec = rec.fec;
+  if (fec.recovery_seen && seq_ahead(recovery_seq, fec.last_recovery_seq) <= 0) {
     return;  // repeat of a recovery beacon already processed
   }
+  fec.recovery_seen = true;
   fec.last_recovery_seq = recovery_seq;
   ++stats_.recovery_beacons;
-  if (!attempt_recovery(device_id, payload, meta)) {
+  if (!attempt_recovery(rec, device_id, payload, meta)) {
     // Two or more covered messages are still missing: park the beacon —
     // a later beacon (overlapping group) may recover one and make this
     // group decodable.
     fec.pending.push_back(payload);
     if (fec.pending.size() > kMaxPendingRecoveries) fec.pending.erase(fec.pending.begin());
   } else {
-    drain_pending(device_id, meta);
+    drain_pending(rec, device_id, meta);
   }
 }
 
-bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& payload,
-                                const RxMeta& meta) {
-  const auto dev_it = devices_.find(device_id);
-  const DeviceInfo* dev = dev_it == devices_.end() ? nullptr : &dev_it->second;
+bool Receiver::attempt_recovery(DeviceRecord& rec, std::uint32_t device_id,
+                                const RecoveryPayload& payload, const RxMeta& meta) {
+  const DeviceInfo* dev = rec.registered() ? &rec.info : nullptr;
 
   std::vector<std::size_t> missing;
   std::vector<std::size_t> present;
@@ -227,11 +260,10 @@ bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& 
   if (length > payload.xor_block.size()) return true;  // malformed: spend it
 
   Bytes data = payload.xor_block;
-  const FecState& fec = fec_[device_id];
   for (const std::size_t i : present) {
     const std::uint32_t seq = payload.base_sequence + static_cast<std::uint32_t>(i);
     const CachedPayload* cached = nullptr;
-    for (const CachedPayload& c : fec.cache) {
+    for (const CachedPayload& c : rec.fec.cache) {
       if (c.sequence == seq) {
         cached = &c;
         break;
@@ -250,21 +282,21 @@ bool Receiver::attempt_recovery(std::uint32_t device_id, const RecoveryPayload& 
   recovered.sequence = payload.base_sequence + static_cast<std::uint32_t>(idx);
   recovered.type = payload.entries[idx].type;
   recovered.data = std::move(data);
-  deliver(recovered, meta, /*recovered=*/true);
+  deliver(rec, recovered, meta, /*recovered=*/true);
   return true;
 }
 
-void Receiver::drain_pending(std::uint32_t device_id, const RxMeta& meta) {
-  FecState& fec = fec_[device_id];
+void Receiver::drain_pending(DeviceRecord& rec, std::uint32_t device_id,
+                             const RxMeta& meta) {
+  std::vector<RecoveryPayload>& pending = rec.fec.pending;
   bool progress = true;
-  while (progress && !fec.pending.empty()) {
+  while (progress && !pending.empty()) {
     progress = false;
-    for (std::size_t i = 0; i < fec.pending.size();) {
-      // Copy: attempt_recovery -> deliver may not touch pending, but the
-      // vector can still reallocate via fec_ lookups elsewhere.
-      const RecoveryPayload payload = fec.pending[i];
-      if (attempt_recovery(device_id, payload, meta)) {
-        fec.pending.erase(fec.pending.begin() + static_cast<std::ptrdiff_t>(i));
+    for (std::size_t i = 0; i < pending.size();) {
+      // attempt_recovery never touches `pending`, so the element can be
+      // passed by reference.
+      if (attempt_recovery(rec, device_id, pending[i], meta)) {
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
         progress = true;
       } else {
         ++i;
@@ -289,11 +321,13 @@ void Receiver::publish_metrics(telemetry::MetricsRegistry& registry,
   registry.bind_counter(prefix + ".fec.recovered", &stats_.recovered);
   registry.bind_counter(prefix + ".partials_evicted", &stats_.partials_evicted);
   registry.bind_counter_fn(prefix + ".devices", [this] {
-    return static_cast<std::uint64_t>(devices_.size());
+    return static_cast<std::uint64_t>(device_count_);
   });
   registry.bind_counter_fn(prefix + ".estimated_losses", [this] {
     std::uint64_t total = 0;
-    for (const auto& [id, dev] : devices_) total += dev.estimated_losses;
+    registry_.for_each([&](std::uint32_t, const DeviceRecord& rec) {
+      total += rec.info.estimated_losses;
+    });
     return total;
   });
 }

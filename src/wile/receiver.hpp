@@ -8,17 +8,25 @@
 // medium for beacons carrying Wi-LE vendor elements, reassembles
 // fragments, de-duplicates by (device, sequence), and keeps a per-device
 // registry with loss estimates from sequence gaps.
+//
+// The registry is one flat open-addressing table (util/flat_table.hpp)
+// holding a single record per device: the DeviceInfo the registry
+// reports and the FEC state (payload cache, parked recovery beacons).
+// A delivered message resolves its record with one probe and reuses it
+// for the FEC cache, so a gateway hearing 100k devices never walks a
+// tree or allocates a node per message.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "dot11/frame.hpp"
 #include "sim/medium.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/flat_table.hpp"
 #include "wile/codec.hpp"
 
 namespace wile::core {
@@ -80,6 +88,9 @@ class Receiver : public sim::MediumClient {
   Receiver(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
            ReceiverConfig config = {});
 
+  /// Called once per delivered message. It must not feed frames back
+  /// into this receiver synchronously (the medium never does: every
+  /// delivery is its own scheduler event).
   using MessageCallback = std::function<void(const Message&, const RxMeta&)>;
   void set_message_callback(MessageCallback cb) { callback_ = std::move(cb); }
 
@@ -90,10 +101,13 @@ class Receiver : public sim::MediumClient {
   /// view of the exact same slots.
   void publish_metrics(telemetry::MetricsRegistry& registry,
                        const std::string& prefix) const;
-  /// Registry ordered by device id (stable iteration for tests/benches).
-  [[nodiscard]] const std::map<std::uint32_t, DeviceInfo>& devices() const {
-    return devices_;
-  }
+  /// Registry entry for `device_id`; nullptr until its first message.
+  [[nodiscard]] const DeviceInfo* device(std::uint32_t device_id) const;
+  /// Devices that have delivered at least one message (O(1)).
+  [[nodiscard]] std::size_t device_count() const { return device_count_; }
+  /// Snapshot of the registry ordered by device id (stable iteration for
+  /// tests, benches and reports; O(n log n), not for the hot path).
+  [[nodiscard]] std::vector<DeviceInfo> devices() const;
 
   /// Device registry as CSV ("device_id,messages,losses,loss_pct,
   /// last_seq,first_seen_s,last_seen_s,rssi_dbm") for ops dashboards.
@@ -127,27 +141,52 @@ class Receiver : public sim::MediumClient {
   /// XOR inputs) and recovery beacons still waiting for a second loss in
   /// their group to be filled by a later beacon or delivery.
   struct FecState {
+    /// Ring of the last kPayloadCacheSize payloads: once full, each
+    /// delivery overwrites the oldest slot (cache_next) in place and
+    /// reuses its buffer. Lookups go by sequence, so order is free.
     std::vector<CachedPayload> cache;
     std::vector<RecoveryPayload> pending;
-    std::optional<std::uint32_t> last_recovery_seq;
+    std::uint32_t last_recovery_seq = 0;  // valid once recovery_seen
+    bool recovery_seen = false;
+    std::uint8_t cache_next = 0;
   };
+  /// Everything the receiver knows about one device, in one table slot.
+  struct DeviceRecord {
+    DeviceInfo info;
+    FecState fec;
+    /// False while only FEC state exists (a recovery beacon can arrive
+    /// before the device's first message); the first registered message
+    /// makes info.messages non-zero.
+    [[nodiscard]] bool registered() const { return info.messages != 0; }
+  };
+  // 112 B, so a table slot (8-byte key plus record) is 120 B.
+  static_assert(sizeof(DeviceRecord) == 112);
+
+  // Record references: util::FlatTable invalidates them only when a
+  // *new* key is inserted. Every path below, recovery included, touches
+  // only the device the record belongs to, and the message callback may
+  // not feed frames back in, so a reference resolved once stays valid
+  // for the whole call chain.
 
   void accept_fragment(const Fragment& fragment, const RxMeta& meta);
   /// Registry update (dedup, gap/loss accounting, wrap-safe). Returns
   /// false for duplicates and beyond-horizon stragglers.
-  bool register_message(const Message& message, const RxMeta& meta);
+  bool register_message(DeviceRecord& rec, const Message& message, const RxMeta& meta);
   /// Registry + cache + user callback for one completed message.
-  void deliver(const Message& message, const RxMeta& meta, bool recovered);
-  void handle_recovery(std::uint32_t device_id, std::uint32_t recovery_seq,
-                       const RecoveryPayload& payload, const RxMeta& meta);
+  void deliver(DeviceRecord& rec, const Message& message, const RxMeta& meta,
+               bool recovered);
+  void handle_recovery(DeviceRecord& rec, std::uint32_t device_id,
+                       std::uint32_t recovery_seq, const RecoveryPayload& payload,
+                       const RxMeta& meta);
   /// Try to decode one recovery group. Returns true when the beacon is
   /// spent (recovered something, nothing missing, or unrecoverable) and
   /// false when it should stay pending.
-  bool attempt_recovery(std::uint32_t device_id, const RecoveryPayload& payload,
-                        const RxMeta& meta);
+  bool attempt_recovery(DeviceRecord& rec, std::uint32_t device_id,
+                        const RecoveryPayload& payload, const RxMeta& meta);
   /// Re-try pending recovery beacons until no further progress (one
-  /// recovered message can complete another group).
-  void drain_pending(std::uint32_t device_id, const RxMeta& meta);
+  /// recovered message can complete another group). Returns at once
+  /// when none are parked.
+  void drain_pending(DeviceRecord& rec, std::uint32_t device_id, const RxMeta& meta);
 
   sim::Scheduler& scheduler_;
   sim::Medium& medium_;
@@ -157,8 +196,8 @@ class Receiver : public sim::MediumClient {
   Reassembler reassembler_;
   MessageCallback callback_;
   ReceiverStats stats_;
-  std::map<std::uint32_t, DeviceInfo> devices_;
-  std::map<std::uint32_t, FecState> fec_;
+  util::FlatTable<DeviceRecord> registry_;
+  std::size_t device_count_ = 0;  // records with registered()
   std::uint64_t cross_recovered_ = 0;  // recovery-beacon decodes (not parity)
 };
 

@@ -62,6 +62,19 @@ void Engine::on_message(const core::Message& message, double rssi_dbm, TimePoint
   on_reading(reading);
 }
 
+void Engine::SampleRing::push_back(Sample sample) {
+  if (size_ == capacity_) {
+    const std::uint32_t grown = capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
+    auto buf = std::make_unique<Sample[]>(grown);
+    for (std::uint32_t i = 0; i < size_; ++i) buf[i] = (*this)[i];
+    buf_ = std::move(buf);
+    head_ = 0;
+    capacity_ = grown;
+  }
+  buf_[(head_ + size_) & (capacity_ - 1)] = sample;
+  ++size_;
+}
+
 void Engine::on_reading(const Reading& reading) {
   for (Rule& rule : rules_) evaluate(rule, reading);
 }
@@ -103,31 +116,36 @@ void Engine::evaluate(Rule& rule, const Reading& reading) {
     const AggregateSpec& agg = *rule.spec.aggregate;
     const double sample =
         agg.op == AggOp::Count ? 1.0 : reading.value.value_or(observed);
-    dev.window.emplace_back(reading.at.us(), sample);
+    dev.window.push_back({reading.at.us(), sample});
     const std::int64_t horizon = reading.at.us() - agg.window.count();
-    while (!dev.window.empty() && dev.window.front().first < horizon) {
+    while (!dev.window.empty() && dev.window.front().at_us < horizon) {
       dev.window.pop_front();
     }
+    // Reduce oldest to newest, the order the samples arrived in, so Sum
+    // and Mean round identically on every run.
+    const SampleRing& window = dev.window;
     double result = 0.0;
     switch (agg.op) {
-      case AggOp::Count: result = static_cast<double>(dev.window.size()); break;
+      case AggOp::Count: result = static_cast<double>(window.size()); break;
       case AggOp::Sum:
       case AggOp::Mean: {
         double sum = 0.0;
-        for (const auto& [_, v] : dev.window) sum += v;
-        result = agg.op == AggOp::Sum
-                     ? sum
-                     : sum / static_cast<double>(dev.window.size());
+        for (std::size_t i = 0; i < window.size(); ++i) sum += window[i].value;
+        result = agg.op == AggOp::Sum ? sum : sum / static_cast<double>(window.size());
         break;
       }
       case AggOp::Min: {
-        result = dev.window.front().second;
-        for (const auto& [_, v] : dev.window) result = std::min(result, v);
+        result = window.front().value;
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          result = std::min(result, window[i].value);
+        }
         break;
       }
       case AggOp::Max: {
-        result = dev.window.front().second;
-        for (const auto& [_, v] : dev.window) result = std::max(result, v);
+        result = window.front().value;
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          result = std::max(result, window[i].value);
+        }
         break;
       }
     }

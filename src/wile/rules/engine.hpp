@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -142,6 +143,39 @@ class Engine {
                        const std::string& prefix) const;
 
  private:
+  /// (timestamp us, value) samples inside an aggregate window, oldest
+  /// first, in a power-of-two ring. Nothing is allocated until the first
+  /// push; the ring doubles when full and reuses the slots of aged-out
+  /// samples, so a steady window never reallocates. An empty ring is one
+  /// null pointer, which keeps flat-table slots small and their moves
+  /// (table growth) allocation-free.
+  class SampleRing {
+   public:
+    struct Sample {
+      std::int64_t at_us = 0;
+      double value = 0.0;
+    };
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    /// i-th oldest sample.
+    [[nodiscard]] const Sample& operator[](std::size_t i) const {
+      return buf_[(head_ + i) & (capacity_ - 1)];
+    }
+    [[nodiscard]] const Sample& front() const { return buf_[head_]; }
+    void push_back(Sample sample);
+    void pop_front() {
+      head_ = (head_ + 1) & (capacity_ - 1);
+      --size_;
+    }
+
+   private:
+    static constexpr std::uint32_t kInitialCapacity = 4;
+    std::unique_ptr<Sample[]> buf_;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 0;  // 0 or a power of two
+  };
+
   /// Per-(rule, device) evaluation state.
   struct DevState {
     TimePoint hold_since;
@@ -151,8 +185,8 @@ class Engine {
     bool fired_once = false;
     bool seen = false;
     bool stale_fired = false;
-    /// (timestamp us, value) pairs inside the aggregate window.
-    std::deque<std::pair<std::int64_t, double>> window;
+    /// Samples inside the aggregate window.
+    SampleRing window;
   };
 
   struct Rule {

@@ -4,9 +4,13 @@
 // machine. Everything here is deterministic for the pinned seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "dot11/frame.hpp"
+#include "dot11/mgmt.hpp"
 #include "sim/fault.hpp"
+#include "util/frame_buffer.hpp"
 #include "wile/controller.hpp"
 #include "wile/receiver.hpp"
 #include "wile/sender.hpp"
@@ -285,7 +289,7 @@ TEST(FecEndToEnd, SequenceWraparoundCountsNoPhantomLosses) {
 
   EXPECT_EQ(seqs, (std::vector<std::uint32_t>{0xfffffffe, 0xffffffff, 0, 1, 2, 3}));
   ASSERT_EQ(monitor.devices().size(), 1u);
-  const DeviceInfo& dev = monitor.devices().begin()->second;
+  const DeviceInfo dev = monitor.devices().front();
   EXPECT_EQ(dev.messages, 6u);
   EXPECT_EQ(dev.estimated_losses, 0u);  // the wrap is not a 4-billion gap
   EXPECT_EQ(dev.last_sequence, 3u);
@@ -323,7 +327,7 @@ TEST(FecEndToEnd, RecoveryBeaconRestoresMessageLostInDeafCycle) {
   EXPECT_EQ(monitor.stats().recovered, 1u);
   ASSERT_EQ(monitor.devices().size(), 1u);
   // The gap charged when sequence 4 arrived is walked back on recovery.
-  EXPECT_EQ(monitor.devices().begin()->second.estimated_losses, 0u);
+  EXPECT_EQ(monitor.devices().front().estimated_losses, 0u);
 }
 
 TEST(FecEndToEnd, RecoveryWorksAcrossSequenceWrap) {
@@ -354,7 +358,7 @@ TEST(FecEndToEnd, RecoveryWorksAcrossSequenceWrap) {
   // 0xffffffff..2 spans the wrap and still reconstructs it.
   EXPECT_TRUE(delivered.count(0u));
   EXPECT_EQ(monitor.stats().recovered, 1u);
-  EXPECT_EQ(monitor.devices().begin()->second.estimated_losses, 0u);
+  EXPECT_EQ(monitor.devices().front().estimated_losses, 0u);
 }
 
 AdaptationConfig two_tier_adaptation() {
@@ -448,6 +452,224 @@ TEST(FecAdaptation, FallsBackToOpenLoopScheduleWithoutController) {
   EXPECT_GE(sender.recovery_beacons_sent(), 1u);
   EXPECT_EQ(sender.tier_raises(), 0u);  // fallback is not a raise
   EXPECT_GT(monitor.stats().duplicates, 0u);  // tier-1 repeats are visible
+}
+
+// ---------------------------------------------------------------------------
+// Receiver registry: the payload-cache ring and flat-table growth, driven
+// frame by frame through Receiver::on_frame.
+// ---------------------------------------------------------------------------
+
+/// A hidden-SSID beacon carrying one Wi-LE element, as a monitor hears it.
+sim::RxFrame beacon_frame(const dot11::InfoElement& element, std::uint32_t device) {
+  dot11::Beacon beacon;
+  beacon.ies.add(dot11::make_ssid_ie(""));
+  beacon.ies.add(element);
+  const MacAddress mac = MacAddress::from_seed(0x5E000000ull + device);
+  sim::RxFrame frame;
+  frame.mpdu = FrameBuffer::copy_of(dot11::build_mgmt_mpdu(
+      dot11::MgmtSubtype::Beacon, MacAddress::broadcast(), mac, mac, 0, beacon.encode()));
+  frame.rx_power_dbm = -50.0;
+  return frame;
+}
+
+/// Distinct, variable-length payload per (device, sequence).
+Bytes payload_for(std::uint32_t device, std::uint32_t seq) {
+  Bytes data(1 + (seq % 7));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(device * 131 + seq * 17 + i);
+  }
+  return data;
+}
+
+Message telemetry(std::uint32_t device, std::uint32_t seq) {
+  Message m;
+  m.device_id = device;
+  m.sequence = seq;
+  m.data = payload_for(device, seq);
+  return m;
+}
+
+/// Recovery message (own sequence space) covering `count` telemetry
+/// messages from `base`, each with its payload_for() content.
+Message recovery_message(std::uint32_t device, std::uint32_t recovery_seq,
+                         std::uint32_t base, std::size_t count) {
+  RecoveryPayload p;
+  p.base_sequence = base;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bytes data = payload_for(device, base + static_cast<std::uint32_t>(i));
+    p.entries.push_back({MessageType::Telemetry, static_cast<std::uint16_t>(data.size())});
+    if (p.xor_block.size() < data.size()) p.xor_block.resize(data.size());
+    for (std::size_t b = 0; b < data.size(); ++b) p.xor_block[b] ^= data[b];
+  }
+  Message m;
+  m.device_id = device;
+  m.sequence = recovery_seq;
+  m.type = MessageType::Recovery;
+  m.data = encode_recovery_payload(p);
+  return m;
+}
+
+/// Feeds whole messages (or chosen fragments of them) into a receiver.
+struct RegistryRig {
+  sim::Scheduler scheduler;
+  sim::Medium medium{scheduler, phy::Channel{}, Rng{1}};
+  Receiver monitor{scheduler, medium, {0, 0}};
+  Codec codec;
+
+  void send(const Message& m, bool parity = false, int drop_fragment = -1) {
+    const auto ies = codec.encode(m, parity);
+    for (std::size_t f = 0; f < ies.size(); ++f) {
+      if (static_cast<int>(f) == drop_fragment) continue;
+      monitor.on_frame(beacon_frame(ies[f], m.device_id));
+    }
+  }
+};
+
+TEST(FecRegistry, PayloadCacheRingReachesBackToItsHorizon) {
+  RegistryRig rig;
+  std::vector<Message> delivered;
+  rig.monitor.set_message_callback(
+      [&](const Message& m, const RxMeta&) { delivered.push_back(m); });
+
+  // Device 1 loses sequence 140, device 2 loses 137; 200 sequences each,
+  // so both payload rings have wrapped three times.
+  for (std::uint32_t seq = 0; seq < 200; ++seq) {
+    if (seq != 140) rig.send(telemetry(1, seq));
+    if (seq != 137) rig.send(telemetry(2, seq));
+  }
+  ASSERT_EQ(rig.monitor.device(1)->estimated_losses, 1u);
+  ASSERT_EQ(rig.monitor.device(2)->estimated_losses, 1u);
+  delivered.clear();
+
+  // XOR input 139 is 60 sequences behind the newest (199): still cached.
+  rig.send(recovery_message(1, 0, 139, 2));
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], telemetry(1, 140));
+  EXPECT_EQ(rig.monitor.stats().recovered, 1u);
+  EXPECT_EQ(rig.monitor.device(1)->estimated_losses, 0u);
+
+  // XOR input 135 is 64 behind: beyond the horizon, the beacon is spent.
+  rig.send(recovery_message(2, 0, 135, 3));
+  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(rig.monitor.stats().recovered, 1u);
+  // Spent, not parked: later deliveries never complete it.
+  rig.send(telemetry(2, 200));
+  EXPECT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(rig.monitor.stats().recovered, 1u);
+  EXPECT_EQ(rig.monitor.device(2)->estimated_losses, 1u);
+}
+
+TEST(FecRegistry, RecoveryBeaconBeforeFirstMessageParksWithoutRegistering) {
+  RegistryRig rig;
+  std::vector<std::uint32_t> delivered;
+  rig.monitor.set_message_callback(
+      [&](const Message& m, const RxMeta&) { delivered.push_back(m.sequence); });
+
+  // The first thing heard from device 9 is a recovery beacon over 5..6:
+  // FEC state exists, but the device is not registered yet.
+  rig.send(recovery_message(9, 0, 5, 2));
+  EXPECT_EQ(rig.monitor.device(9), nullptr);
+  EXPECT_EQ(rig.monitor.device_count(), 0u);
+  EXPECT_TRUE(rig.monitor.devices().empty());
+
+  // Sequence 6 registers the device and completes the parked group.
+  rig.send(telemetry(9, 6));
+  EXPECT_EQ(delivered, (std::vector<std::uint32_t>{6, 5}));
+  EXPECT_EQ(rig.monitor.stats().recovered, 1u);
+  ASSERT_NE(rig.monitor.device(9), nullptr);
+  EXPECT_EQ(rig.monitor.device(9)->messages, 2u);
+  EXPECT_EQ(rig.monitor.device(9)->estimated_losses, 0u);
+  EXPECT_EQ(rig.monitor.device_count(), 1u);
+}
+
+struct RegistryOutcome {
+  std::vector<Message> delivered;  // device kTarget only
+  std::uint64_t recovered = 0;
+  DeviceInfo target;
+  std::size_t devices = 0;
+};
+
+/// One device's parity, loss and recovery traffic; with `noise`, first
+/// messages from 5,400 other device ids (in scrambled order) land between
+/// every step, so the registry grows many times between caching a
+/// payload, parking a recovery beacon and XOR-ing the payload back.
+RegistryOutcome run_registry_traffic(bool noise) {
+  constexpr std::uint32_t kTarget = 77;
+  constexpr std::uint32_t kNoiseDevices = 5400;
+  RegistryRig rig;
+  RegistryOutcome out;
+  rig.monitor.set_message_callback([&](const Message& m, const RxMeta&) {
+    if (m.device_id == kTarget) out.delivered.push_back(m);
+  });
+
+  std::uint32_t next_noise = 0;
+  auto interleave = [&] {
+    if (!noise) return;
+    for (int k = 0; k < 200 && next_noise < kNoiseDevices; ++k, ++next_noise) {
+      // Odd multiplier mod 2^13 scrambles arrival order across the ids.
+      const std::uint32_t id = 1000 + ((next_noise * 4099u) & 8191u);
+      rig.send(telemetry(id, 5));
+    }
+  };
+
+  const std::size_t frag_data = rig.codec.max_fragment_data(true, false) - 1;
+  std::uint32_t recovery_seq = 0;
+  for (std::uint32_t seq = 0; seq < 40; ++seq) {
+    interleave();
+    Message m = telemetry(kTarget, seq);
+    if (seq % 6 == 0) {
+      // Fragmented with group parity; one data fragment is lost and
+      // rebuilt by the reassembler.
+      m.data.assign(frag_data * 2 + 3, static_cast<std::uint8_t>(seq));
+      rig.send(m, /*parity=*/true, /*drop_fragment=*/1);
+      continue;
+    }
+    if (seq == 9 || seq == 14 || seq == 15) continue;  // lost in flight
+    rig.send(m);
+    if (seq == 11) {
+      interleave();
+      rig.send(recovery_message(kTarget, recovery_seq++, 8, 4));  // rebuilds 9
+    }
+    if (seq == 16) {
+      interleave();
+      // Two losses in 13..16: parked until a later group frees one.
+      rig.send(recovery_message(kTarget, recovery_seq++, 13, 4));
+    }
+    if (seq == 17) {
+      interleave();
+      // Rebuilds 15, which makes the parked 13..16 group decodable.
+      rig.send(recovery_message(kTarget, recovery_seq++, 15, 3));
+    }
+  }
+  interleave();
+
+  out.recovered = rig.monitor.stats().recovered;
+  out.target = *rig.monitor.device(kTarget);
+  out.devices = rig.monitor.device_count();
+  const std::vector<DeviceInfo> all = rig.monitor.devices();
+  EXPECT_EQ(all.size(), out.devices);
+  EXPECT_TRUE(std::is_sorted(all.begin(), all.end(),
+                             [](const DeviceInfo& a, const DeviceInfo& b) {
+                               return a.device_id < b.device_id;
+                             }));
+  return out;
+}
+
+TEST(FecRegistry, RecoveryIsUnaffectedByRegistryGrowth) {
+  const RegistryOutcome quiet = run_registry_traffic(/*noise=*/false);
+  const RegistryOutcome busy = run_registry_traffic(/*noise=*/true);
+
+  // The traffic really exercised parity, recovery and the parked path.
+  EXPECT_EQ(quiet.recovered, 7u + 3u);  // 7 parity rebuilds + 9, 15, 14
+  EXPECT_EQ(quiet.target.estimated_losses, 0u);
+  EXPECT_EQ(quiet.delivered.size(), 40u);
+  EXPECT_EQ(quiet.devices, 1u);
+  EXPECT_EQ(busy.devices, 5401u);
+
+  EXPECT_EQ(busy.delivered, quiet.delivered);
+  EXPECT_EQ(busy.recovered, quiet.recovered);
+  EXPECT_EQ(busy.target.estimated_losses, quiet.target.estimated_losses);
+  EXPECT_EQ(busy.target.messages, quiet.target.messages);
 }
 
 }  // namespace

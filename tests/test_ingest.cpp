@@ -4,6 +4,9 @@
 // that feeds the engine from gateway deliveries.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <deque>
+#include <limits>
 #include <stdexcept>
 
 #include "util/flat_table.hpp"
@@ -429,6 +432,78 @@ TEST(RulesEngine, PublishMetricsExposesPerNodeCounters) {
   EXPECT_EQ(registry.counter_value("rules.hot.condition.evaluated"), 2u);
   EXPECT_EQ(registry.counter_value("rules.hot.condition.passed"), 1u);
   EXPECT_EQ(registry.counter_value("rules.hot.cooldown.passed"), 1u);
+}
+
+TEST(RulesEngine, AggregateWindowMatchesDequeReferenceBitForBit) {
+  // Every aggregate op over a 60 s window, fed bursty and sparse phases
+  // plus silences that empty the window, so per-device sample rings
+  // grow, wrap and drain. Each fire's observed value must equal, bit for
+  // bit, the same front-to-back reduction over a std::deque window.
+  const std::vector<std::pair<std::string, rules::AggOp>> ops = {
+      {"count", rules::AggOp::Count}, {"sum", rules::AggOp::Sum},
+      {"mean", rules::AggOp::Mean},   {"min", rules::AggOp::Min},
+      {"max", rules::AggOp::Max}};
+  const Duration window = seconds(60);
+  std::vector<rules::RuleSpec> specs;
+  for (const auto& [name, op] : ops) {
+    rules::RuleSpec spec;
+    spec.name = name;
+    // Always true, so every reading fires every rule.
+    spec.aggregate = rules::AggregateSpec{op, window, rules::Cmp::Ge,
+                                          -std::numeric_limits<double>::infinity()};
+    specs.push_back(spec);
+  }
+  rules::Engine engine{specs};
+  std::vector<rules::Fire> fires;
+  engine.set_fire_callback([&](const rules::Fire& f) { fires.push_back(f); });
+
+  constexpr int kReadings = 12000;
+  constexpr std::uint32_t kDevices = 2;
+  std::vector<std::deque<std::pair<std::int64_t, double>>> reference(kDevices);
+  std::size_t largest_window = 0;
+  std::size_t mismatches = 0;
+  Rng rng{0xD0E5};
+  std::int64_t t_us = 0;
+  for (int n = 0; n < kReadings; ++n) {
+    const bool burst = (n / 1500) % 2 == 0;
+    if (rng.chance(0.005)) {
+      t_us += 61'000'000 + static_cast<std::int64_t>(rng.below(60'000'000));
+    } else if (!rng.chance(0.05)) {  // 5 % share a timestamp
+      t_us += static_cast<std::int64_t>(rng.below(burst ? 200'000 : 5'000'000));
+    }
+    rules::Reading reading;
+    reading.device_id = static_cast<std::uint32_t>(rng.below(kDevices));
+    reading.value = rng.uniform() * 1000.0 - 500.0;
+    reading.at = TimePoint{usec(t_us)};
+    fires.clear();
+    engine.on_reading(reading);
+    ASSERT_EQ(fires.size(), ops.size());
+
+    auto& ref = reference[reading.device_id];
+    ref.emplace_back(t_us, *reading.value);
+    while (ref.front().first < t_us - window.count()) ref.pop_front();
+    largest_window = std::max(largest_window, ref.size());
+    double sum = 0.0;
+    double lo = ref.front().second;
+    double hi = ref.front().second;
+    for (const auto& [_, v] : ref) {
+      sum += v;
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    const double expected[] = {static_cast<double>(ref.size()), sum,
+                               sum / static_cast<double>(ref.size()), lo, hi};
+    for (std::size_t r = 0; r < ops.size(); ++r) {
+      EXPECT_EQ(fires[r].rule, ops[r].first);
+      if (std::bit_cast<std::uint64_t>(fires[r].observed) !=
+          std::bit_cast<std::uint64_t>(expected[r])) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(engine.fired_total(), static_cast<std::uint64_t>(kReadings) * ops.size());
+  EXPECT_GT(largest_window, 256u);  // the rings grew through several doublings
 }
 
 // --- scenario wiring ---------------------------------------------------------

@@ -120,7 +120,8 @@ TEST_F(WileIntegration, DutyCycleDeliversPeriodically) {
   sender.stop_duty_cycle();
 
   EXPECT_EQ(monitor.stats().messages, 6u);
-  const auto& dev = monitor.devices().at(3);
+  ASSERT_NE(monitor.device(3), nullptr);
+  const DeviceInfo& dev = *monitor.device(3);
   EXPECT_EQ(dev.messages, 6u);
   EXPECT_EQ(dev.estimated_losses, 0u);
 }
@@ -177,9 +178,9 @@ TEST_F(WileIntegration, SequenceGapsEstimateLosses) {
   scheduler_.run_until(TimePoint{seconds(120)});
   sender.stop_duty_cycle();
 
-  const auto it = monitor.devices().find(4);
-  ASSERT_NE(it, monitor.devices().end());
-  const auto& dev = it->second;
+  const DeviceInfo* found = monitor.device(4);
+  ASSERT_NE(found, nullptr);
+  const DeviceInfo& dev = *found;
   EXPECT_GT(dev.messages, 10u);          // link is lossy but alive
   EXPECT_GT(dev.estimated_losses, 0u);   // and gaps were noticed
   EXPECT_EQ(dev.messages + dev.estimated_losses, dev.last_sequence + 1);
@@ -308,8 +309,8 @@ TEST_F(WileIntegration, ManyDevicesRegistryTracksAll) {
   for (auto& s : senders) s->stop_duty_cycle();
 
   EXPECT_EQ(monitor.devices().size(), static_cast<std::size_t>(kDevices));
-  for (const auto& [id, dev] : monitor.devices()) {
-    EXPECT_GE(dev.messages, 10u) << "device " << id;
+  for (const DeviceInfo& dev : monitor.devices()) {
+    EXPECT_GE(dev.messages, 10u) << "device " << dev.device_id;
   }
 }
 

@@ -131,8 +131,7 @@ TEST_F(WileNodes, RssiFallsWithDistance) {
 
   ASSERT_EQ(near.devices().size(), 1u);
   ASSERT_EQ(far.devices().size(), 1u);
-  EXPECT_GT(near.devices().begin()->second.last_rssi_dbm,
-            far.devices().begin()->second.last_rssi_dbm);
+  EXPECT_GT(near.devices().front().last_rssi_dbm, far.devices().front().last_rssi_dbm);
 }
 
 TEST_F(WileNodes, NonBeaconFramesIgnored) {
