@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <string>
 
 #include "ap/access_point.hpp"
 #include "power/trace_recorder.hpp"
@@ -36,11 +37,11 @@ void print_phases(const power::PowerTimeline& tl, TimePoint from, TimePoint to) 
     const TimePoint seg_end = std::min(i + 1 < segs.size() ? segs[i + 1].start : to, to);
     if (seg_end <= seg_start) continue;
     const Joules e = tl.energy_between(seg_start, seg_end);
-    if (!bands.empty() && bands.back().phase == segs[i].phase) {
+    if (!bands.empty() && bands.back().phase == segs[i].phase.view()) {
       bands.back().end = seg_end;
       bands.back().energy += e;
     } else {
-      bands.push_back({segs[i].phase, seg_start, seg_end, e});
+      bands.push_back({std::string(segs[i].phase.view()), seg_start, seg_end, e});
     }
   }
   std::printf("  %-22s %10s %10s %12s %10s\n", "phase", "start_s", "end_s", "mean_mA",

@@ -12,13 +12,15 @@
 // bit-identical.
 //
 // Writes BENCH_scale_fleet.json: per-N events/sec, sim/wall speed
-// ratio, Medium stats, peak RSS and this run's RSS delta. The
-// transmission/delivery/message counts double as a cross-version
-// determinism oracle: they are seed-determined, so any event-core
-// change that alters them broke reproducibility (see
-// tests/test_determinism.cpp). Unless --no-telemetry, also exports the
-// full wile-telemetry-v1 snapshot of the last run (per-node TX/RX/
-// energy plus aggregates) for the CI artifact + schema check.
+// ratio, Medium stats, peak RSS and this run's RSS delta, plus a
+// per-component memory census (timeline segment heap per node and the
+// inline size of one Sender with its Csma). The transmission/delivery/
+// message counts double as a cross-version determinism oracle: they are
+// seed-determined, so any event-core change that alters them broke
+// reproducibility (see tests/test_determinism.cpp). Unless
+// --no-telemetry, also exports the full wile-telemetry-v1 snapshot of
+// the last run (per-node TX/RX/energy plus aggregates) for the CI
+// artifact + schema check.
 //
 // Usage: scale_fleet [--quick] [--out PATH] [--telemetry-out PATH]
 //                    [--no-telemetry] [--threads N] [--shards N]
@@ -77,6 +79,10 @@ struct FleetResult {
   double rss_peak_mb = 0.0;
   double rss_delta_mb = 0.0;  // current-RSS change across this run
   double rss_per_node_bytes = 0.0;  // rss_delta_mb * 1024 * 1024 / n
+  // Per-component census: the power-timeline heap (allocated segment
+  // slots) averaged over the fleet, and one device's inline footprint.
+  double timeline_bytes_per_node = 0.0;
+  std::size_t sender_inline_bytes = sizeof(core::Sender) + sizeof(sim::Csma);
 };
 
 double peak_rss_mb() {
@@ -144,6 +150,12 @@ FleetResult run_fleet(int n, int sim_seconds, unsigned threads, std::size_t shar
   r.rss_delta_mb = current_rss_mb() - rss_before_mb;
   r.rss_per_node_bytes =
       n > 0 ? r.rss_delta_mb * 1024.0 * 1024.0 / static_cast<double>(n) : 0.0;
+  std::size_t timeline_bytes = 0;
+  for (const auto& s : scenario->devices()) {
+    timeline_bytes += s->timeline().segments().capacity() * sizeof(power::Segment);
+  }
+  r.timeline_bytes_per_node =
+      n > 0 ? static_cast<double>(timeline_bytes) / static_cast<double>(n) : 0.0;
 
   if (telemetry && telemetry_json != nullptr) {
     telemetry::ExportMeta meta;
@@ -175,7 +187,8 @@ void write_json(const std::vector<FleetResult>& rows, const std::string& path) {
                  "     \"events_per_sec\": %.0f, \"transmissions\": %llu,\n"
                  "     \"deliveries\": %llu, \"collision_losses\": %llu,\n"
                  "     \"messages\": %llu, \"rss_peak_mb\": %.1f,\n"
-                 "     \"rss_delta_mb\": %.1f, \"rss_per_node_bytes\": %.1f}%s\n",
+                 "     \"rss_delta_mb\": %.1f, \"rss_per_node_bytes\": %.1f,\n"
+                 "     \"timeline_bytes_per_node\": %.1f, \"sender_inline_bytes\": %zu}%s\n",
                  r.n, r.sim_seconds, r.wall_s, r.threads, r.shards, hw_threads,
                  r.ratio,
                  static_cast<unsigned long long>(r.events), r.events_per_sec,
@@ -183,8 +196,8 @@ void write_json(const std::vector<FleetResult>& rows, const std::string& path) {
                  static_cast<unsigned long long>(r.deliveries),
                  static_cast<unsigned long long>(r.collision_losses),
                  static_cast<unsigned long long>(r.messages), r.rss_peak_mb,
-                 r.rss_delta_mb, r.rss_per_node_bytes,
-                 i + 1 < rows.size() ? "," : "");
+                 r.rss_delta_mb, r.rss_per_node_bytes, r.timeline_bytes_per_node,
+                 r.sender_inline_bytes, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -266,13 +279,14 @@ int main(int argc, char** argv) {
     std::printf(
         "n=%-7d sim=%ds threads=%u shards=%zu wall=%.2fs ratio=%.1fx "
         "events=%llu (%.2fM ev/s) tx=%llu deliveries=%llu messages=%llu "
-        "rss_peak=%.1fMB rss_delta=%+.1fMB (%.0f B/node)\n",
+        "rss_peak=%.1fMB rss_delta=%+.1fMB (%.0f B/node, timeline %.0f B/node, "
+        "sender inline %zu B)\n",
         r.n, r.sim_seconds, r.threads, r.shards, r.wall_s, r.ratio,
         static_cast<unsigned long long>(r.events), r.events_per_sec / 1e6,
         static_cast<unsigned long long>(r.transmissions),
         static_cast<unsigned long long>(r.deliveries),
         static_cast<unsigned long long>(r.messages), r.rss_peak_mb, r.rss_delta_mb,
-        r.rss_per_node_bytes);
+        r.rss_per_node_bytes, r.timeline_bytes_per_node, r.sender_inline_bytes);
   }
   write_json(rows, out_path);
   std::printf("wrote %s\n", out_path.c_str());

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "power/timeline.hpp"
 #include "sim/scheduler.hpp"
@@ -25,22 +24,19 @@ class RadioPowerTracker {
         tx_ramp_(tx_ramp) {}
 
   /// Enter a firmware phase drawing `baseline` until further notice.
-  void set_phase(Amps baseline, std::string label) {
+  void set_phase(Amps baseline, PhaseLabel label) {
     baseline_ = baseline;
-    label_ = std::move(label);
+    label_ = label;
     if (tx_nesting_ == 0) timeline_.set_current(scheduler_.now(), baseline_ + overlay_, label_);
   }
-
-  [[nodiscard]] const std::string& phase_label() const { return label_; }
 
   /// Always-on companion-circuit draw (the 802.11ba wake-up receiver)
   /// added on top of every phase baseline and TX burst. Defaults to an
   /// exact zero so devices without a companion radio emit bit-identical
   /// timelines. A brown-out clears it (the whole board is dark) and
   /// recovery restores it.
-  void set_overlay(Amps overlay, std::string label = {}) {
+  void set_overlay(Amps overlay) {
     overlay_ = overlay;
-    if (!label.empty()) label_ = std::move(label);
     if (tx_nesting_ == 0) timeline_.set_current(scheduler_.now(), baseline_ + overlay_, label_);
   }
 
@@ -66,7 +62,7 @@ class RadioPowerTracker {
   Duration tx_ramp_;
   Amps baseline_{};
   Amps overlay_{};
-  std::string label_ = "Sleep";
+  PhaseLabel label_ = "Sleep";
   int tx_nesting_ = 0;
 };
 

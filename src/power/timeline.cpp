@@ -5,7 +5,7 @@
 
 namespace wile::power {
 
-void PowerTimeline::set_current(TimePoint t, Amps current, std::string_view phase) {
+void PowerTimeline::set_current(TimePoint t, Amps current, PhaseLabel phase) {
   if (!segments_.empty()) {
     const Segment& last = segments_.back();
     if (t < last.start) {
@@ -15,11 +15,18 @@ void PowerTimeline::set_current(TimePoint t, Amps current, std::string_view phas
     if (t == last.start) {
       // Replacing a zero-length segment.
       segments_.back().current = current;
-      segments_.back().phase = std::string(phase);
+      segments_.back().phase = phase;
       return;
     }
   }
-  segments_.push_back(Segment{t, current, std::string(phase)});
+  if (max_segments_ > 0 && segments_.size() == segments_.capacity()) {
+    // Grow geometrically, but stop at the one slot past the bound that
+    // the fold below needs: the default doubling would take 64 slots to
+    // 128 just before folding back to 32.
+    segments_.reserve(std::min(std::max<std::size_t>(2 * segments_.capacity(), 1),
+                               max_segments_ + 1));
+  }
+  segments_.push_back(Segment{t, current, phase});
   if (max_segments_ > 0 && segments_.size() > max_segments_) fold_history();
 }
 
@@ -84,12 +91,12 @@ Watts PowerTimeline::average_power(TimePoint from, TimePoint to) const {
 bool PowerTimeline::find_phase(std::string_view phase, TimePoint from, TimePoint* start,
                                TimePoint* end) const {
   for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i].phase == phase && segments_[i].start >= from) {
+    if (segments_[i].phase.view() == phase && segments_[i].start >= from) {
       if (start != nullptr) *start = segments_[i].start;
       if (end != nullptr) {
         // Phase extends over consecutive segments with the same label.
         std::size_t j = i;
-        while (j + 1 < segments_.size() && segments_[j + 1].phase == phase) ++j;
+        while (j + 1 < segments_.size() && segments_[j + 1].phase.view() == phase) ++j;
         *end = (j + 1 < segments_.size()) ? segments_[j + 1].start : segments_[j].start;
       }
       return true;

@@ -7,8 +7,9 @@
 // Keysight 34465A samples the real board (§5.1, Figure 2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -16,11 +17,35 @@
 
 namespace wile::power {
 
+/// Phase annotation for Figure 3-style plots: a pointer to a string
+/// literal. The constructor is consteval and takes a character array,
+/// so only compile-time text (a literal or a constexpr array) can
+/// become a label; the pointee then lives for the whole program and a
+/// segment stores 8 bytes instead of a std::string. Labels compare by
+/// content, so equal text from different translation units is the same
+/// phase.
+class PhaseLabel {
+ public:
+  template <std::size_t N>
+  consteval PhaseLabel(const char (&text)[N])  // NOLINT(google-explicit-constructor)
+      : text_(text) {}
+
+  [[nodiscard]] std::string_view view() const { return text_; }
+
+  friend bool operator==(PhaseLabel a, PhaseLabel b) {
+    return a.text_ == b.text_ || std::strcmp(a.text_, b.text_) == 0;
+  }
+
+ private:
+  const char* text_;
+};
+
 struct Segment {
   TimePoint start;
   Amps current;
-  std::string phase;  // annotation for Figure 3-style plots
+  PhaseLabel phase;
 };
+static_assert(sizeof(Segment) == 24, "a timeline segment is start, current and a label pointer");
 
 class PowerTimeline {
  public:
@@ -31,7 +56,7 @@ class PowerTimeline {
   /// Report that from `t` onward the device draws `current`. `t` must be
   /// monotonically non-decreasing across calls. Consecutive identical
   /// currents are merged (the phase label of the first is kept).
-  void set_current(TimePoint t, Amps current, std::string_view phase);
+  void set_current(TimePoint t, Amps current, PhaseLabel phase);
 
   /// Bound the retained segment history (0 = unbounded, the default).
   /// When the bound is exceeded, the oldest half of the history is
@@ -42,7 +67,8 @@ class PowerTimeline {
   /// inside the discarded span cannot be answered segment-accurately
   /// any more; fleet-scale simulations that only need per-cycle and
   /// lifetime totals set this to a small multiple of the segments one
-  /// duty cycle produces (see bench/scale_fleet).
+  /// duty cycle produces (see bench/scale_fleet). The history's capacity
+  /// grows geometrically but never past `max_segments + 1`.
   void set_max_segments(std::size_t max_segments) { max_segments_ = max_segments; }
 
   /// Time before which segment history has been folded away.

@@ -39,7 +39,7 @@ void Csma::start_next() {
   if (queue_.empty()) return;
   busy_ = true;
   current_ = std::move(queue_.front());
-  queue_.pop_front();
+  queue_.erase(queue_.begin());
   begin_access();
 }
 

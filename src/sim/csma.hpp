@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "phy/airtime.hpp"
 #include "sim/medium.hpp"
@@ -130,7 +130,10 @@ class Csma {
   Rng rng_;
   Config config_;
 
-  std::deque<Pending> queue_;
+  /// FIFO of sends not yet begun. A vector popped from the front: a
+  /// queue holds a handful of sends at most, and an empty vector costs
+  /// no allocation (a std::deque allocates its map and first node).
+  std::vector<Pending> queue_;
   bool busy_ = false;
   std::optional<Pending> current_;
   std::optional<EventId> ack_timer_;

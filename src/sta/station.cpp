@@ -11,11 +11,11 @@ using dot11::MgmtSubtype;
 
 namespace {
 // Phase labels exactly as in the legend of Figure 3a.
-constexpr const char* kPhaseSleep = "Sleep";
-constexpr const char* kPhaseInit = "MC/WiFi init";
-constexpr const char* kPhaseAssoc = "Probe/Auth./Associate";
-constexpr const char* kPhaseDhcp = "DHCP/ARP";
-constexpr const char* kPhaseTx = "Tx";
+constexpr power::PhaseLabel kPhaseSleep = "Sleep";
+constexpr power::PhaseLabel kPhaseInit = "MC/WiFi init";
+constexpr power::PhaseLabel kPhaseAssoc = "Probe/Auth./Associate";
+constexpr power::PhaseLabel kPhaseDhcp = "DHCP/ARP";
+constexpr power::PhaseLabel kPhaseTx = "Tx";
 }  // namespace
 
 Station::Station(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,

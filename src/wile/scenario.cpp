@@ -10,7 +10,7 @@ namespace wile::sim {
 
 namespace {
 
-std::string node_prefix(NodeId id, const char* component) {
+std::string node_prefix(std::size_t id, const char* component) {
   return "node." + std::to_string(id) + "." + component;
 }
 
@@ -237,14 +237,7 @@ Scenario::Scenario(const ScenarioBuilder& b)
   }
   if (rules_engine_) rules_engine_->publish_metrics(registry_, "rules");
 
-  if (b.per_node_) {
-    for (auto& s : senders_) {
-      s->publish_metrics(registry_, node_prefix(s->node_id(), "sender"));
-    }
-    for (auto& r : receivers_) {
-      r->publish_metrics(registry_, node_prefix(r->node_id(), "receiver"));
-    }
-  }
+  if (b.per_node_) publish_node_metrics();
 
   if (b.sample_period_) {
     sampler_ = std::make_unique<telemetry::PeriodicSampler<Scheduler>>(
@@ -465,13 +458,19 @@ void Scenario::build_parallel(const ScenarioBuilder& b) {
     });
   }
 
-  if (b.per_node_) {
-    for (auto& s : senders_) {
-      s->publish_metrics(registry_, node_prefix(s->node_id(), "sender"));
-    }
-    for (auto& r : receivers_) {
-      r->publish_metrics(registry_, node_prefix(r->node_id(), "receiver"));
-    }
+  if (b.per_node_) publish_node_metrics();
+}
+
+// Per-node names use the node id the serial build assigns: devices
+// attach first, in index order, then gateways. A shard's Medium numbers
+// its own nodes from 0, so the sharded build must not use node_id().
+void Scenario::publish_node_metrics() {
+  for (std::size_t i = 0; i < senders_.size(); ++i) {
+    senders_[i]->publish_metrics(registry_, node_prefix(i, "sender"));
+  }
+  for (std::size_t k = 0; k < receivers_.size(); ++k) {
+    receivers_[k]->publish_metrics(registry_,
+                                   node_prefix(senders_.size() + k, "receiver"));
   }
 }
 

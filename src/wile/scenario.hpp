@@ -193,6 +193,8 @@ class Scenario {
   void build_parallel(const ScenarioBuilder& b);
   void build_ble(const ScenarioBuilder& b);
   void build_ble_parallel(const ScenarioBuilder& b);
+  /// Bind every device's and gateway's metrics under node.<id>.*.
+  void publish_node_metrics();
   void require_serial(const char* what) const;
 
   /// One shard's event core plus its message tally. The schedulers and

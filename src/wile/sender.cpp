@@ -9,14 +9,14 @@ namespace wile::core {
 
 namespace {
 // Phase labels matching the legend of Figure 3b.
-constexpr const char* kPhaseSleep = "Sleep";
-constexpr const char* kPhaseInit = "MC/WiFi init";
-constexpr const char* kPhaseTx = "Tx";
-constexpr const char* kPhaseRxWindow = "RxWindow";
-constexpr const char* kPhaseBrownOut = "BrownOut";
+constexpr power::PhaseLabel kPhaseSleep = "Sleep";
+constexpr power::PhaseLabel kPhaseInit = "MC/WiFi init";
+constexpr power::PhaseLabel kPhaseTx = "Tx";
+constexpr power::PhaseLabel kPhaseRxWindow = "RxWindow";
+constexpr power::PhaseLabel kPhaseBrownOut = "BrownOut";
 /// Deep sleep with the 802.11ba companion receiver listening: the main
 /// radio is off, the uW overlay is the only draw above deep-sleep.
-constexpr const char* kPhaseWurListen = "WurListen";
+constexpr power::PhaseLabel kPhaseWurListen = "WurListen";
 }  // namespace
 
 Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position position,
@@ -32,6 +32,14 @@ Sender::Sender(sim::Scheduler& scheduler, sim::Medium& medium, sim::Position pos
     config_.mac = MacAddress::from_seed(0xB13C000ULL + config_.device_id);
   }
   sequence_ = config_.initial_sequence;
+  int longest_group = config_.recovery_k;
+  if (config_.adaptation) {
+    for (const RedundancyTier& tier : config_.adaptation->tiers) {
+      longest_group = std::max(longest_group, tier.recovery_k);
+    }
+  }
+  recovery_history_ = static_cast<std::size_t>(
+      std::clamp<int>(longest_group, 0, static_cast<int>(kMaxRecoveryGroup)));
   timeline_.set_max_segments(config_.timeline_max_segments);
   node_id_ = medium_.attach(this, position);
   medium_.set_listening(node_id_, listening_hint());
@@ -359,9 +367,9 @@ void Sender::begin_cycle(Bytes data, SendCallback done) {
 
   const bool fec_usable = !config_.ssid_stuffing;
   if (fresh && fec_usable) {
-    recent_sent_.push_back({message.sequence, message.type, message.data});
-    if (recent_sent_.size() > kMaxRecoveryGroup) {
-      recent_sent_.erase(recent_sent_.begin());
+    if (recovery_history_ > 0) {
+      recent_sent_.push_back({message.sequence, message.type, message.data});
+      if (recent_sent_.size() > recovery_history_) recent_sent_.erase(recent_sent_.begin());
     }
     ++msgs_since_recovery_;
   }

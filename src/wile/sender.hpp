@@ -459,14 +459,18 @@ class Sender : public sim::MediumClient {
   int cycle_parity_beacons_ = 0;
   Duration cycle_parity_airtime_{};
 
-  // FEC: payloads of the last kMaxRecoveryGroup fresh messages, for
-  // cross-cycle recovery beacons.
+  // FEC: payloads of the last `recovery_history_` fresh messages, for
+  // cross-cycle recovery beacons. The bound is the largest recovery_k
+  // any tier can run (clamped to kMaxRecoveryGroup), fixed at
+  // construction; 0 means no tier ever sends a recovery beacon, and
+  // nothing is recorded.
   struct RecentMessage {
     std::uint32_t sequence = 0;
     MessageType type = MessageType::Telemetry;
     Bytes data;
   };
   std::vector<RecentMessage> recent_sent_;
+  std::size_t recovery_history_ = 0;
   int msgs_since_recovery_ = 0;
   std::uint32_t recovery_sequence_ = 0;  // own space; never perturbs loss gaps
   std::uint64_t recovery_beacons_sent_ = 0;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "dot11/frame.hpp"
 #include "dot11/mgmt.hpp"
@@ -440,9 +442,54 @@ TEST(FecAdaptation, FallsBackToOpenLoopScheduleWithoutController) {
   Sender sender{scheduler, medium, {0, 0}, cfg, Rng{12}};
   Receiver monitor{scheduler, medium, {2, 0}};  // passive: never reports
 
-  sender.start_duty_cycle([] { return Bytes{0x88}; });
+  // Records every Recovery payload on the air, in transmission order.
+  struct RecoverySniffer : sim::MediumClient {
+    void on_frame(const sim::RxFrame& frame) override {
+      auto parsed = dot11::parse_mpdu(frame.mpdu);
+      if (!parsed || !parsed->fcs_ok) return;
+      auto beacon = dot11::Beacon::decode(parsed->body);
+      if (!beacon) return;
+      for (const Fragment& f : codec.decode_all(beacon->ies)) {
+        if (f.type != MessageType::Recovery) continue;
+        if (auto payload = decode_recovery_payload(f.data)) payloads.push_back(*payload);
+      }
+    }
+    [[nodiscard]] bool rx_enabled() const override { return true; }
+    Codec codec;
+    std::vector<RecoveryPayload> payloads;
+  } sniffer;
+  medium.attach(&sniffer, {1, 0});
+
+  // Deaf for the first (tier-0) cycle: only a recovery beacon sent after
+  // the switch to tier 1 can bring sequence 0 back.
+  medium.set_rx_blocked(monitor.node_id(), true);
+  std::set<std::uint32_t> delivered;
+  monitor.set_message_callback(
+      [&](const Message& m, const RxMeta&) { delivered.insert(m.sequence); });
+  std::optional<std::uint32_t> first_recovery_cycle;
+  sender.start_duty_cycle([] { return Bytes{0x88}; },
+                          [&](const SendReport& r) {
+                            if (r.sequence == 0) {
+                              medium.set_rx_blocked(monitor.node_id(), false);
+                            }
+                            if (!first_recovery_cycle && sender.recovery_beacons_sent() > 0) {
+                              first_recovery_cycle = r.sequence;
+                            }
+                          });
   scheduler.run_until(TimePoint{seconds(10) + msec(500)});
   sender.stop_duty_cycle();
+
+  // Sequences 0..2 went out on tier 0 (recovery_k 0), yet the first
+  // tier-1 cycle (sequence 3) already covers the four messages up to it:
+  // the sender keeps history for the largest recovery_k of any tier, not
+  // just the active one.
+  ASSERT_TRUE(first_recovery_cycle.has_value());
+  EXPECT_EQ(*first_recovery_cycle, 3u);
+  ASSERT_FALSE(sniffer.payloads.empty());
+  EXPECT_EQ(sniffer.payloads.front().base_sequence, 0u);
+  EXPECT_EQ(sniffer.payloads.front().entries.size(), 4u);
+  EXPECT_TRUE(delivered.count(0u));
+  EXPECT_GE(monitor.stats().recovered, 1u);
 
   // No ChannelReport ever arrived: after three silent cycles the sender
   // runs the scheduled open-loop redundancy (tier 1: repeats + recovery).

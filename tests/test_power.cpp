@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <type_traits>
 
 #include "power/battery.hpp"
 #include "power/devices.hpp"
@@ -92,6 +94,59 @@ TEST(Timeline, FindPhaseLocatesRange) {
   EXPECT_EQ(start.us(), 300);
   EXPECT_EQ(end.us(), 400);
   EXPECT_FALSE(tl.find_phase("DHCP/ARP", TimePoint{usec(0)}, nullptr, nullptr));
+}
+
+TEST(Timeline, BoundedHistoryNeverOutgrowsOneSlotPastTheCap) {
+  // The default vector doubling would take a 64-segment cap to 128 slots
+  // just before folding back to 32.
+  PowerTimeline capped{volts(3.3)};
+  capped.set_max_segments(64);
+  PowerTimeline uncapped{volts(3.3)};
+  constexpr PhaseLabel kLabels[] = {"Sleep", "MC/WiFi init", "Tx"};
+  TimePoint t{};
+  for (int i = 0; i < 10'000; ++i) {
+    t += usec(1 + (i * 7) % 13);
+    const Amps current = milliamps(1 + (i * 37) % 50);
+    const PhaseLabel label = kLabels[(i / 3) % 3];
+    capped.set_current(t, current, label);
+    uncapped.set_current(t, current, label);
+    ASSERT_LE(capped.segments().capacity(), 65u) << "call " << i;
+  }
+  ASSERT_GT(capped.retained_since(), TimePoint{});
+  ASSERT_LE(capped.segments().size(), 64u);
+
+  // Over the retained window both timelines sum the same segments in the
+  // same order: bit-identical, not merely close.
+  const TimePoint end = t + msec(1);
+  EXPECT_EQ(capped.energy_between(capped.retained_since(), end).value,
+            uncapped.energy_between(capped.retained_since(), end).value);
+  // Whole-run totals include the folded baseline (summed in another order).
+  const double whole = uncapped.energy_between(TimePoint{}, end).value;
+  EXPECT_NEAR(capped.energy_between(TimePoint{}, end).value, whole, whole * 1e-12);
+}
+
+// A label is compile-time text only: a runtime std::string cannot become one.
+static_assert(!std::is_constructible_v<PhaseLabel, std::string>);
+
+TEST(PhaseLabel, EqualTextComparesEqualAcrossStorage) {
+  static constexpr char kOtherTx[] = "Tx";  // same text, its own address
+  constexpr PhaseLabel a = "Tx";
+  constexpr PhaseLabel b = kOtherTx;
+  EXPECT_TRUE(a == b);
+  EXPECT_FALSE(a == PhaseLabel{"Rx"});
+  EXPECT_EQ(b.view(), "Tx");
+
+  // Equal text merges like an identical label, and find_phase sees it.
+  PowerTimeline tl{volts(3.3)};
+  tl.set_current(TimePoint{usec(0)}, milliamps(1), "Sleep");
+  tl.set_current(TimePoint{usec(100)}, milliamps(100), a);
+  tl.set_current(TimePoint{usec(150)}, milliamps(100), b);
+  tl.set_current(TimePoint{usec(300)}, milliamps(1), "Sleep");
+  EXPECT_EQ(tl.segments().size(), 3u);
+  TimePoint start, end;
+  ASSERT_TRUE(tl.find_phase("Tx", TimePoint{usec(0)}, &start, &end));
+  EXPECT_EQ(start.us(), 100);
+  EXPECT_EQ(end.us(), 300);
 }
 
 // ---------------------------------------------------------------------------

@@ -301,6 +301,60 @@ TEST(Scenario, PerNodeMetricsForEveryDevice) {
   }
 }
 
+/// A small fleet with per-node metrics on, built on the serial engine
+/// (threads == 0) or on `threads` workers over four shards.
+std::unique_ptr<sim::Scenario> build_per_node_fleet(unsigned threads) {
+  auto builder = sim::ScenarioBuilder{}
+                     .devices(400)
+                     .grid_spacing_m(5)
+                     .gateway_every(100)
+                     .duty_cycle(seconds(60))
+                     .seed(0xF1EE7C0DE)
+                     .medium_seed(0xF1EE7)
+                     .per_node_metrics(true);
+  if (threads > 0) builder.threads(threads).shards(4);
+  return builder.build();
+}
+
+std::vector<std::string> per_node_metric_names(sim::Scenario& scenario) {
+  std::vector<std::string> names;
+  for (const MetricValue& v : scenario.snapshot().values) {
+    if (v.name.rfind("node.", 0) == 0) names.push_back(v.name);
+  }
+  return names;
+}
+
+TEST(Scenario, ShardedPerNodeMetricsUseSerialNodeIds) {
+  // Each shard's medium numbers its nodes from 0; the per-node names must
+  // still be the serial build's (devices 0..n-1, then gateways), or the
+  // second shard's node.0.* collides with the first's.
+  auto serial = build_per_node_fleet(0);
+  auto sharded = build_per_node_fleet(2);
+  const std::vector<std::string> names = per_node_metric_names(*serial);
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ(per_node_metric_names(*sharded), names);
+
+  // Each name reads its own device: the energy integrals differ from
+  // device to device (staggered starts, random backoff).
+  const TimePoint end{seconds(120)};
+  sharded->run_until(end);
+  MetricsRegistry& reg = sharded->metrics();
+  for (std::size_t i = 0; i < sharded->devices().size(); ++i) {
+    const std::string p = "node." + std::to_string(i) + ".sender";
+    const core::Sender& s = *sharded->devices()[i];
+    EXPECT_EQ(reg.counter_value(p + ".cycles"), s.cycles_run()) << p;
+    EXPECT_EQ(reg.gauge_value(p + ".energy_j"),
+              s.timeline().energy_between(TimePoint{}, end).value)
+        << p;
+  }
+  const std::size_t n = sharded->devices().size();
+  for (std::size_t k = 0; k < sharded->gateways().size(); ++k) {
+    const std::string p = "node." + std::to_string(n + k) + ".receiver";
+    EXPECT_EQ(reg.counter_value(p + ".messages"), sharded->gateways()[k]->stats().messages)
+        << p;
+  }
+}
+
 TEST(Scenario, ExportedJsonIsDeterministicAcrossRuns) {
   ExportMeta meta;
   meta.bench = "test_fleet";

@@ -57,6 +57,10 @@ FLEET_RUN_REQUIRED = ["n", "sim_seconds", "wall_seconds", "sim_wall_ratio",
 # legacy serial row; old artifacts without these keys still validate).
 FLEET_SHARDED_REQUIRED = ["threads", "shards", "hw_threads",
                           "rss_per_node_bytes"]
+# Per-component memory census (optional: rows written before it
+# existed lack these keys): timeline segment heap per node, and the
+# inline size of one Sender plus its Csma.
+FLEET_CENSUS_OPTIONAL = ["timeline_bytes_per_node", "sender_inline_bytes"]
 
 HARVEST_TOP_REQUIRED = ["bench", "quick", "sim_seconds", "period_seconds",
                         "source_tx_dbm", "rectenna_efficiency", "runs",
@@ -154,6 +158,10 @@ def check_fleet_runs(doc, errors):
             for key in FLEET_SHARDED_REQUIRED:
                 if key not in run:
                     fail(errors, f"runs[{i}] missing {key!r}")
+        for key in FLEET_CENSUS_OPTIONAL:
+            value = run.get(key, 0)
+            if not isinstance(value, (int, float)) or value < 0:
+                fail(errors, f"runs[{i}] {key} is not a non-negative number")
         if run.get("transmissions", 0) <= 0 or run.get("messages", 0) <= 0:
             fail(errors, f"runs[{i}] has no traffic — broken run?")
     if errors or not threads_aware:
